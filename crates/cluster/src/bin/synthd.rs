@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hls_cluster::{serve, Addr, ClusterConfig, ClusterNode, Listener, DEFAULT_VNODES};
-use hls_core::{PassCache, PassCacheConfig};
+use hls_core::PassCache;
 use hls_serve::{parse_batch, serve_batch, ArtifactStore, ServiceConfig, StoreConfig};
 use hls_verify::{ProofCache, ProofCacheConfig};
 
@@ -65,12 +65,12 @@ struct Options {
     example: bool,
     stats: bool,
     incremental: bool,
-    pass_cache_dir: Option<PathBuf>,
+    proof_cache_dir: Option<PathBuf>,
 }
 
 fn usage() -> &'static str {
     "usage: synthd [--store DIR] [--max-bytes N] [--workers N] [--max-cost-ns N]\n\
-     \x20             [--synth-delay-ms N] [--incremental] [--pass-cache-dir DIR]\n\
+     \x20             [--synth-delay-ms N] [--incremental] [--proof-cache-dir DIR]\n\
      \x20             [--daemon | --listen ADDR | --socket PATH | --example | --stats]\n\
      \x20             [--cluster --peers A,B,C --self-index N [--replicas N] [--vnodes N]]\n\
      Addresses are `unix:PATH` or `tcp:HOST:PORT`. In cluster mode the\n\
@@ -94,7 +94,7 @@ fn parse_args() -> Result<Options, String> {
         example: false,
         stats: false,
         incremental: false,
-        pass_cache_dir: None,
+        proof_cache_dir: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -149,8 +149,8 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|e| format!("--vnodes: {e}"))?
             }
             "--incremental" => opts.incremental = true,
-            "--pass-cache-dir" => {
-                opts.pass_cache_dir = Some(PathBuf::from(value("--pass-cache-dir")?));
+            "--proof-cache-dir" => {
+                opts.proof_cache_dir = Some(PathBuf::from(value("--proof-cache-dir")?));
                 opts.incremental = true;
             }
             "--example" => opts.example = true,
@@ -208,13 +208,9 @@ fn main() -> ExitCode {
     };
     let mut opts = opts;
     if opts.incremental {
-        let pass_cfg = PassCacheConfig {
-            persist_dir: opts.pass_cache_dir.clone(),
-            ..PassCacheConfig::default()
-        };
-        opts.service.pass_cache = Some(Arc::new(PassCache::new(pass_cfg)));
+        opts.service.pass_cache = Some(Arc::new(PassCache::in_memory()));
         let proof_cfg = ProofCacheConfig {
-            persist_dir: opts.pass_cache_dir.as_ref().map(|d| d.join("proofs")),
+            persist_dir: opts.proof_cache_dir.clone(),
         };
         opts.service.proof_cache = Some(Arc::new(ProofCache::new(&proof_cfg)));
     }

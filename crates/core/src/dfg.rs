@@ -160,9 +160,10 @@ impl Dfg {
         &self.nodes[id.index()]
     }
 
-    /// Appends a node (crate-internal: the builder and the netlist
-    /// rewriter construct graphs; everyone else consumes them).
-    pub(crate) fn push(&mut self, kind: NodeKind, preds: Vec<NodeId>, format: Format) -> NodeId {
+    /// Appends a node. `preds` must name nodes already in the graph.
+    /// The builder and the netlist rewriter construct graphs this way;
+    /// tests use it to derive a graph that differs in one node.
+    pub fn push(&mut self, kind: NodeKind, preds: Vec<NodeId>, format: Format) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
             kind,

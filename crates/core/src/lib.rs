@@ -28,17 +28,16 @@ mod allocate;
 pub mod bound;
 pub mod dfg;
 mod directives;
-pub mod docstore;
 mod error;
 pub mod explore;
 mod lower;
 mod metrics;
 pub mod netlist;
 pub mod passcache;
-pub mod persist;
 pub mod pipeline;
 pub mod report;
 mod schedule;
+pub mod store;
 mod synthesize;
 mod tech;
 pub mod transform;

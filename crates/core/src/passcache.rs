@@ -7,27 +7,19 @@
 //! the [`TechLibrary::fingerprint`] when the stage uses the timing/area
 //! model, and the clock period bits only for clock-dependent stages.
 //! Identical inputs therefore reuse identical results across sweep
-//! points, across serve requests, and — for the clock-independent prefix
-//! — across process restarts; any key-relevant input change misses by
-//! construction.
+//! points and across serve requests; any key-relevant input change
+//! misses by construction.
 //!
-//! The cache is two-tiered:
-//!
-//! - a sharded in-memory map with an LRU cap on entries and approximate
-//!   bytes (mirroring the serve store's `(mtime,digest)` LRU), and
-//! - an optional persistent tier ([`crate::docstore`]) holding the
-//!   clock-independent stages (`loop-transforms`, `lower`, `netlist-opt`)
-//!   with the serve store's tmp+rename / integrity-recheck / quarantine
-//!   envelope. `schedule` and `allocate` results are cheap to recompute
-//!   from a cached netlist and clock-dependent, so they stay in memory
-//!   only.
+//! The cache lives in memory only: a sharded map with an LRU cap on
+//! entries and approximate bytes (mirroring the store's `(mtime,digest)`
+//! LRU). There is no disk tier — decoding a stage product from disk
+//! costs more than recomputing it.
 //!
 //! Hits replay the stage's exact output object; the pipeline reports
 //! them as memo hits in [`crate::pipeline::PassTrace`], so cached and
 //! cold runs produce byte-identical artifacts.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -35,16 +27,13 @@ use hls_ir::{stable_digest, Expr, Function, Json, Stmt};
 
 use crate::allocate::Allocation;
 use crate::directives::Directives;
-use crate::docstore::DocStore;
 use crate::lower::Lowered;
 use crate::netlist::{NetlistObligation, NetlistReport};
-use crate::persist;
 use crate::schedule::Schedule;
 use crate::tech::TechLibrary;
 use crate::transform::TransformResult;
 
-/// Key-derivation schema tag; bumped whenever key composition changes so
-/// stale persistent tiers read as misses.
+/// Key-derivation schema tag; bumped whenever key composition changes.
 const KEY_SCHEMA: &str = "pc1";
 
 const SHARDS: usize = 16;
@@ -250,8 +239,6 @@ pub struct PassCacheConfig {
     pub max_entries: usize,
     /// Maximum approximate in-memory bytes before LRU eviction.
     pub max_bytes: usize,
-    /// Root of the persistent tier; `None` keeps the cache memory-only.
-    pub persist_dir: Option<PathBuf>,
 }
 
 impl Default for PassCacheConfig {
@@ -259,7 +246,6 @@ impl Default for PassCacheConfig {
         PassCacheConfig {
             max_entries: 8192,
             max_bytes: 256 << 20,
-            persist_dir: None,
         }
     }
 }
@@ -267,7 +253,7 @@ impl Default for PassCacheConfig {
 /// A census of the cache's activity and occupancy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PassCacheStats {
-    /// Lookups served from either tier.
+    /// Lookups served from the cache.
     pub hits: u64,
     /// Lookups that found nothing (the stage ran cold).
     pub misses: u64,
@@ -275,18 +261,10 @@ pub struct PassCacheStats {
     pub inserts: u64,
     /// In-memory entries displaced by the LRU cap.
     pub evictions: u64,
-    /// The subset of `hits` served by the persistent tier.
-    pub persist_hits: u64,
     /// Current in-memory entry count.
     pub entries: u64,
     /// Current approximate in-memory bytes.
     pub bytes: u64,
-    /// Entries in the persistent tier (0 when disabled).
-    pub persist_entries: u64,
-    /// Bytes in the persistent tier (0 when disabled).
-    pub persist_bytes: u64,
-    /// Persistent entries quarantined after failing integrity checks.
-    pub persist_quarantined: u64,
 }
 
 impl PassCacheStats {
@@ -297,17 +275,13 @@ impl PassCacheStats {
             ("misses", Json::count(self.misses)),
             ("inserts", Json::count(self.inserts)),
             ("evictions", Json::count(self.evictions)),
-            ("persist_hits", Json::count(self.persist_hits)),
             ("entries", Json::count(self.entries)),
             ("bytes", Json::count(self.bytes)),
-            ("persist_entries", Json::count(self.persist_entries)),
-            ("persist_bytes", Json::count(self.persist_bytes)),
-            ("persist_quarantined", Json::count(self.persist_quarantined)),
         ])
     }
 }
 
-/// The two-tier content-addressed pass cache. Cheap to share: clone an
+/// The in-memory content-addressed pass cache. Cheap to share: clone an
 /// `Arc<PassCache>` into every [`crate::pipeline::PipelineConfig`] that
 /// should reuse results.
 pub struct PassCache {
@@ -317,8 +291,6 @@ pub struct PassCache {
     misses: AtomicU64,
     inserts: AtomicU64,
     evictions: AtomicU64,
-    persist_hits: AtomicU64,
-    persist: Option<DocStore>,
     entries_cap: usize,
     bytes_cap: usize,
 }
@@ -338,14 +310,8 @@ impl Default for PassCache {
 }
 
 impl PassCache {
-    /// Creates a cache. The persistent tier is best-effort: if the
-    /// directory cannot be created the cache runs memory-only (a pass
-    /// cache must never turn an I/O problem into a synthesis failure).
+    /// Creates a cache with the given caps.
     pub fn new(cfg: PassCacheConfig) -> PassCache {
-        let persist = cfg
-            .persist_dir
-            .as_ref()
-            .and_then(|dir| DocStore::open(dir).ok());
         PassCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             tick: AtomicU64::new(0),
@@ -353,8 +319,6 @@ impl PassCache {
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            persist_hits: AtomicU64::new(0),
-            persist,
             entries_cap: (cfg.max_entries / SHARDS).max(1),
             bytes_cap: (cfg.max_bytes / SHARDS).max(1),
         }
@@ -365,12 +329,7 @@ impl PassCache {
         PassCache::new(PassCacheConfig::default())
     }
 
-    /// True when a persistent tier is attached.
-    pub fn is_persistent(&self) -> bool {
-        self.persist.is_some()
-    }
-
-    /// Snapshot of counters and occupancy across both tiers.
+    /// Snapshot of counters and occupancy.
     pub fn stats(&self) -> PassCacheStats {
         let mut entries = 0u64;
         let mut bytes = 0u64;
@@ -379,19 +338,13 @@ impl PassCache {
             entries += s.map.len() as u64;
             bytes += s.bytes as u64;
         }
-        let (persist_entries, persist_bytes) = self.persist.as_ref().map_or((0, 0), |p| p.census());
-        let persist_quarantined = self.persist.as_ref().map_or(0, |p| p.quarantined());
         PassCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            persist_hits: self.persist_hits.load(Ordering::Relaxed),
             entries,
             bytes,
-            persist_entries,
-            persist_bytes,
-            persist_quarantined,
         }
     }
 
@@ -443,28 +396,12 @@ impl PassCache {
         }
     }
 
-    fn hit(&self, from_persist: bool) {
+    fn hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
-        if from_persist {
-            self.persist_hits.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     fn miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn persist_put(&self, key: &str, stage: &str, data: impl FnOnce() -> Json) {
-        if let Some(store) = &self.persist {
-            // Content-addressed entries are immutable: a key already on
-            // disk holds exactly this body, so rewriting it would only
-            // burn a tmp+rename cycle.
-            if store.contains(key) {
-                return;
-            }
-            let body = Json::obj(vec![("stage", Json::str(stage)), ("data", data())]);
-            store.put(key, &body);
-        }
     }
 
     /// Whether the in-memory tier currently holds `key`.
@@ -481,92 +418,55 @@ impl PassCache {
             .contains_key(key)
     }
 
-    fn persist_get(&self, key: &str, stage: &str) -> Option<Json> {
-        let store = self.persist.as_ref()?;
-        let body = store.get(key)?;
-        if body.get("stage")?.as_str()? != stage {
-            return None;
-        }
-        body.get("data").cloned()
-    }
-
     /// Looks up a `loop-transforms` result.
     pub fn get_transform(&self, key: &str) -> Option<Arc<TransformResult>> {
         if let Some(Value::Transform(t)) = self.get_mem(key) {
-            self.hit(false);
+            self.hit();
             return Some(t);
-        }
-        if let Some(data) = self.persist_get(key, "loop-transforms") {
-            if let Some(t) = persist::transform_from_json(&data) {
-                let t = Arc::new(t);
-                self.put_mem(key, Value::Transform(t.clone()), approx_transform(&t));
-                self.hit(true);
-                return Some(t);
-            }
         }
         self.miss();
         None
     }
 
-    /// Stores a `loop-transforms` result in both tiers.
+    /// Stores a `loop-transforms` result.
     pub fn put_transform(&self, key: &str, t: &Arc<TransformResult>) {
         self.put_mem(key, Value::Transform(t.clone()), approx_transform(t));
-        self.persist_put(key, "loop-transforms", || persist::transform_to_json(t));
     }
 
     /// Looks up a `lower` result.
     pub fn get_lowered(&self, key: &str) -> Option<Arc<Lowered>> {
         if let Some(Value::Lowered(l)) = self.get_mem(key) {
-            self.hit(false);
+            self.hit();
             return Some(l);
-        }
-        if let Some(data) = self.persist_get(key, "lower") {
-            if let Some(l) = persist::lowered_from_json(&data) {
-                let l = Arc::new(l);
-                self.put_mem(key, Value::Lowered(l.clone()), approx_lowered(&l));
-                self.hit(true);
-                return Some(l);
-            }
         }
         self.miss();
         None
     }
 
-    /// Stores a `lower` result in both tiers.
+    /// Stores a `lower` result.
     pub fn put_lowered(&self, key: &str, l: &Arc<Lowered>) {
         self.put_mem(key, Value::Lowered(l.clone()), approx_lowered(l));
-        self.persist_put(key, "lower", || persist::lowered_to_json(l));
     }
 
     /// Looks up a `netlist-opt` outcome (design, report, obligations).
     pub fn get_netlist(&self, key: &str) -> Option<Arc<NetlistEntry>> {
         if let Some(Value::Netlist(e)) = self.get_mem(key) {
-            self.hit(false);
+            self.hit();
             return Some(e);
-        }
-        if let Some(data) = self.persist_get(key, "netlist-opt") {
-            if let Some(e) = netlist_entry_from_json(&data) {
-                let e = Arc::new(e);
-                self.put_mem(key, Value::Netlist(e.clone()), approx_netlist(&e));
-                self.hit(true);
-                return Some(e);
-            }
         }
         self.miss();
         None
     }
 
-    /// Stores a `netlist-opt` outcome in both tiers.
+    /// Stores a `netlist-opt` outcome.
     pub fn put_netlist(&self, key: &str, e: &Arc<NetlistEntry>) {
         self.put_mem(key, Value::Netlist(e.clone()), approx_netlist(e));
-        self.persist_put(key, "netlist-opt", || netlist_entry_to_json(e));
     }
 
-    /// Looks up a `schedule` result (in-memory tier only: schedules are
-    /// clock-dependent and cheap relative to the stages above them).
+    /// Looks up a `schedule` result.
     pub fn get_schedules(&self, key: &str) -> Option<Arc<Vec<Schedule>>> {
         if let Some(Value::Schedule(s)) = self.get_mem(key) {
-            self.hit(false);
+            self.hit();
             return Some(s);
         }
         self.miss();
@@ -578,10 +478,10 @@ impl PassCache {
         self.put_mem(key, Value::Schedule(s.clone()), approx_schedules(s));
     }
 
-    /// Looks up an `allocate` result (in-memory tier only).
+    /// Looks up an `allocate` result.
     pub fn get_allocation(&self, key: &str) -> Option<Arc<Allocation>> {
         if let Some(Value::Allocate(a)) = self.get_mem(key) {
-            self.hit(false);
+            self.hit();
             return Some(a);
         }
         self.miss();
@@ -592,36 +492,6 @@ impl PassCache {
     pub fn put_allocation(&self, key: &str, a: &Arc<Allocation>) {
         self.put_mem(key, Value::Allocate(a.clone()), approx_allocation(a));
     }
-}
-
-fn netlist_entry_to_json(e: &NetlistEntry) -> Json {
-    Json::obj(vec![
-        ("lowered", persist::lowered_to_json(&e.lowered)),
-        ("report", persist::report_to_json(&e.report)),
-        (
-            "obligations",
-            Json::Arr(
-                e.obligations
-                    .iter()
-                    .map(persist::obligation_to_json)
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn netlist_entry_from_json(j: &Json) -> Option<NetlistEntry> {
-    Some(NetlistEntry {
-        lowered: persist::lowered_from_json(j.get("lowered")?)?,
-        report: persist::report_from_json(j.get("report")?)?,
-        obligations: j
-            .get("obligations")?
-            .as_arr()?
-            .iter()
-            .map(persist::obligation_from_json)
-            .collect::<Option<Vec<_>>>()
-            .map(Arc::new)?,
-    })
 }
 
 #[cfg(test)]
@@ -691,7 +561,6 @@ mod tests {
         let cache = PassCache::new(PassCacheConfig {
             max_entries: SHARDS, // one entry per shard
             max_bytes: usize::MAX,
-            persist_dir: None,
         });
         let t = sample_transform();
         // Two keys landing in the same shard: second insert evicts first.
@@ -716,7 +585,6 @@ mod tests {
             max_entries: usize::MAX >> 1,
             // Per-shard cap fits one entry but not two.
             max_bytes: one * SHARDS + SHARDS,
-            persist_dir: None,
         });
         cache.put_transform("00aaaaaaaaaaaaaaaaaaaaaaaaaaaaaa", &t);
         cache.put_transform("00bbbbbbbbbbbbbbbbbbbbbbbbbbbbbb", &t);
@@ -762,77 +630,5 @@ mod tests {
         assert_ne!(netlist_key(&l, &d, &lib1), netlist_key(&l, &d, &lib2));
         let n = netlist_key(&l, &d, &lib1);
         assert_ne!(schedule_key(&n, &d, &lib1), schedule_key(&n, &d, &lib2));
-    }
-
-    #[test]
-    fn corrupt_persistent_entry_quarantines_and_repopulates() {
-        fn truncate_objects(dir: &std::path::Path) {
-            for entry in std::fs::read_dir(dir).expect("readable dir") {
-                let path = entry.expect("dir entry").path();
-                if path.is_dir() {
-                    if path.file_name().is_some_and(|n| n == "quarantine") {
-                        continue;
-                    }
-                    truncate_objects(&path);
-                } else if path.extension().is_some_and(|e| e == "json") {
-                    let data = std::fs::read(&path).expect("readable object");
-                    std::fs::write(&path, &data[..data.len() / 2]).expect("truncable object");
-                }
-            }
-        }
-        let dir =
-            std::env::temp_dir().join(format!("hls-passcache-test-{}-corrupt", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let t = sample_transform();
-        let key = stable_digest(b"corrupt-me");
-        let config = PassCacheConfig {
-            persist_dir: Some(dir.clone()),
-            ..PassCacheConfig::default()
-        };
-        PassCache::new(config.clone()).put_transform(&key, &t);
-        // Tear every persisted object in place, as a crash mid-write
-        // (against the store's tmp+rename discipline) or disk fault
-        // would.
-        truncate_objects(&dir);
-        let cache = PassCache::new(config.clone());
-        assert!(
-            cache.get_transform(&key).is_none(),
-            "torn entry must read as a miss, never a wrong value"
-        );
-        assert!(cache.stats().persist_quarantined >= 1, "teardown recorded");
-        // The miss's recompute repopulates the persistent tier...
-        cache.put_transform(&key, &t);
-        // ...and a fresh process serves the repaired entry again.
-        let cache = PassCache::new(config);
-        let back = cache.get_transform(&key).expect("repopulated entry");
-        assert_eq!(back.func, t.func);
-        assert_eq!(cache.stats().persist_hits, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn persistent_tier_survives_reopen() {
-        let dir =
-            std::env::temp_dir().join(format!("hls-passcache-test-{}-reopen", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let t = sample_transform();
-        let key = stable_digest(b"transform-key");
-        {
-            let cache = PassCache::new(PassCacheConfig {
-                persist_dir: Some(dir.clone()),
-                ..PassCacheConfig::default()
-            });
-            cache.put_transform(&key, &t);
-        }
-        let cache = PassCache::new(PassCacheConfig {
-            persist_dir: Some(dir.clone()),
-            ..PassCacheConfig::default()
-        });
-        let back = cache.get_transform(&key).expect("persisted entry");
-        assert_eq!(back.func, t.func);
-        let s = cache.stats();
-        assert_eq!(s.persist_hits, 1);
-        assert!(s.persist_entries >= 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

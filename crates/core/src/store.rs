@@ -1,4 +1,6 @@
-//! The content-addressed artifact store.
+//! The content-addressed on-disk store: the one envelope every
+//! persisted result goes through — `hls-serve`'s artifacts and
+//! negative entries, and `hls-verify`'s proof verdicts.
 //!
 //! On-disk layout under the store root:
 //!
@@ -6,6 +8,7 @@
 //! root/
 //!   objects/<2-hex-prefix>/<digest>.json    one entry per request digest
 //!   negative/<2-hex-prefix>/<digest>.json   cached synthesis failures
+//!   proofs/<2-hex-prefix>/<digest>.json     proved equivalence verdicts
 //!   tmp/                                    staging for atomic writes
 //!   quarantine/                             entries that failed integrity
 //!   locks/                                  advisory writer/evictor locks
@@ -17,7 +20,9 @@
 //! verify verdict, diagnostics); negative entries (under `negative/`)
 //! carry a [`NegativeEntry`] — the structured failure of a
 //! deterministic pipeline error, so retries of a bad request cost a
-//! store read instead of a pipeline re-run. Loads re-verify both
+//! store read instead of a pipeline re-run; proof entries (under
+//! `proofs/`) carry a proved verdict whose preimage is the proof-cache
+//! key. Loads re-verify both
 //! digests — the filename against the preimage and the body digest
 //! against the body — and move anything inconsistent to `quarantine/`,
 //! reporting a miss so the caller simply re-synthesizes. Writes stage
@@ -39,8 +44,8 @@
 //! Reads refresh the entry's modification time, so eviction — which
 //! removes entries in `(mtime, digest)` order until the store fits
 //! [`StoreConfig::max_bytes`] — approximates least-recently-used and is
-//! deterministic given the timestamps. Negative entries share the same
-//! budget and eviction order.
+//! deterministic given the timestamps. Negative and proof entries share
+//! the same budget and eviction order.
 
 use std::fs;
 use std::io;
@@ -48,17 +53,112 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime};
 
-use hls_core::DesignMetrics;
 use hls_ir::{stable_digest, Json};
 
-use crate::digest::RequestKey;
-use crate::negative::{NegativeEntry, NEGATIVE_SCHEMA};
+use crate::metrics::DesignMetrics;
 
 /// Schema tag of one positive store entry (bump on layout changes).
 pub const ENTRY_SCHEMA: &str = "hls-serve-artifact/v1";
 
+/// Schema tag of one negative entry (bump on layout changes).
+pub const NEGATIVE_SCHEMA: &str = "hls-serve-negative/v1";
+
+/// Schema tag of one proof-verdict entry (bump on layout changes).
+pub const PROOF_SCHEMA: &str = "hls-proof-verdict/v1";
+
 /// Age past which a writer/evictor lock is presumed abandoned.
 pub const STALE_LOCK: Duration = Duration::from_secs(30);
+
+/// Process-wide sequence for unique staging names: with the pid, it
+/// keeps two writers of one digest (say, after a stolen lock) from
+/// sharing a tmp file. See [`publish`].
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// An entry's content address: the digest plus the preimage it was
+/// computed from (stored with the entry so integrity is checkable).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RequestKey {
+    /// 32-hex-digit content digest; the entry's on-disk identity.
+    pub digest: String,
+    /// The canonical preimage the digest was computed over.
+    pub preimage: String,
+}
+
+impl RequestKey {
+    /// The key whose preimage is `preimage` and whose digest is
+    /// [`stable_digest`] of it.
+    pub fn for_preimage(preimage: String) -> RequestKey {
+        RequestKey {
+            digest: stable_digest(preimage.as_bytes()),
+            preimage,
+        }
+    }
+
+    /// The digest's leading byte — the store's `objects/<2-hex-prefix>/`
+    /// shard directory, and the cluster's unit of shard ownership (the
+    /// hash ring maps the 256 prefixes onto shards).
+    pub fn shard_prefix(&self) -> u8 {
+        u8::from_str_radix(self.digest.get(..2).unwrap_or("00"), 16).unwrap_or(0)
+    }
+}
+
+/// A cached synthesis failure: everything a caller needs to see the
+/// same rejection the pipeline produced, without re-running it.
+///
+/// Synthesis is deterministic, so a request that fails the pipeline
+/// fails identically on every retry. Only deterministic pipeline
+/// failures (`SynthesisError`) are cached: parse failures never reach a
+/// digest, and admission rejections depend on the service's observed
+/// cost model, so neither is content-addressed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NegativeEntry {
+    /// Design (module) name the request was labeled with.
+    pub design: String,
+    /// The stable machine-readable code of the failing error
+    /// (e.g. `infeasible-clock`, `unschedulable`).
+    pub code: String,
+    /// Human-readable description of the failure.
+    pub error: String,
+    /// The failed run's structured diagnostics, as JSON.
+    pub diagnostics: Json,
+}
+
+impl NegativeEntry {
+    /// Serializes the failure body (the store wraps it in an envelope).
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("design", Json::str(self.design.clone())),
+            ("code", Json::str(self.code.clone())),
+            ("error", Json::str(self.error.clone())),
+            ("diagnostics", self.diagnostics.clone()),
+        ])
+    }
+
+    /// Parses a failure body (the inverse of [`NegativeEntry::to_json`]).
+    pub fn from_json(v: &Json) -> Result<NegativeEntry, String> {
+        Ok(NegativeEntry {
+            design: v
+                .get("design")
+                .and_then(Json::as_str)
+                .ok_or("negative entry: missing design")?
+                .to_string(),
+            code: v
+                .get("code")
+                .and_then(Json::as_str)
+                .ok_or("negative entry: missing code")?
+                .to_string(),
+            error: v
+                .get("error")
+                .and_then(Json::as_str)
+                .ok_or("negative entry: missing error")?
+                .to_string(),
+            diagnostics: v
+                .get("diagnostics")
+                .cloned()
+                .unwrap_or(Json::Arr(Vec::new())),
+        })
+    }
+}
 
 /// Which side of the store an entry lives on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,6 +167,10 @@ pub enum EntryKind {
     Positive,
     /// A cached deterministic failure under `negative/`.
     Negative,
+    /// A proved equivalence verdict under `proofs/`. Local to one
+    /// store: [`EntryKind::by_name`] does not accept it, so proof
+    /// entries never travel over the cluster wire.
+    Proof,
 }
 
 impl EntryKind {
@@ -74,6 +178,7 @@ impl EntryKind {
         match self {
             EntryKind::Positive => "objects",
             EntryKind::Negative => "negative",
+            EntryKind::Proof => "proofs",
         }
     }
 
@@ -81,6 +186,7 @@ impl EntryKind {
         match self {
             EntryKind::Positive => ENTRY_SCHEMA,
             EntryKind::Negative => NEGATIVE_SCHEMA,
+            EntryKind::Proof => PROOF_SCHEMA,
         }
     }
 
@@ -89,10 +195,12 @@ impl EntryKind {
         match self {
             EntryKind::Positive => "positive",
             EntryKind::Negative => "negative",
+            EntryKind::Proof => "proof",
         }
     }
 
-    /// Parses a wire name back into a kind.
+    /// Parses a wire name back into a kind. Proof entries have no wire
+    /// form, so `"proof"` is refused.
     pub fn by_name(name: &str) -> Option<EntryKind> {
         match name {
             "positive" => Some(EntryKind::Positive),
@@ -105,9 +213,9 @@ impl EntryKind {
 /// Store tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
-    /// Eviction threshold: total size of `objects/` plus `negative/`
-    /// the store trims down to after every insert. The default is
-    /// generous (256 MiB).
+    /// Eviction threshold: total size of `objects/`, `negative/` and
+    /// `proofs/` the store trims down to after every insert. The
+    /// default is generous (256 MiB).
     pub max_bytes: u64,
 }
 
@@ -336,6 +444,13 @@ impl ArtifactStore {
         }
     }
 
+    /// Looks up the proof-verdict body stored under `key`. Like negative
+    /// probes, proof lookups move no hit/miss counter; corrupt entries
+    /// are quarantined and read as `None`.
+    pub fn lookup_proof(&self, key: &RequestKey) -> Option<Json> {
+        self.load_checked(EntryKind::Proof, &key.digest)
+    }
+
     /// Looks up a cached failure for `key`. A hit means the identical
     /// request already failed the pipeline deterministically; the
     /// caller serves the stored diagnostics instead of re-running.
@@ -395,6 +510,7 @@ impl ArtifactStore {
         let name = match kind {
             EntryKind::Positive => format!("{digest}.json"),
             EntryKind::Negative => format!("{digest}.neg.json"),
+            EntryKind::Proof => format!("{digest}.proof.json"),
         };
         let dest = self.root.join("quarantine").join(name);
         if fs::rename(&path, &dest).is_ok() {
@@ -417,6 +533,12 @@ impl ArtifactStore {
     /// identical retries are served from disk.
     pub fn insert_negative(&self, key: &RequestKey, entry: &NegativeEntry) -> io::Result<()> {
         self.write_document(EntryKind::Negative, key, entry.to_json())
+    }
+
+    /// Persists a proof-verdict body under `key` (same atomic staging,
+    /// locking and budget as artifacts).
+    pub fn insert_proof(&self, key: &RequestKey, body: Json) -> io::Result<()> {
+        self.write_document(EntryKind::Proof, key, body)
     }
 
     fn write_document(&self, kind: EntryKind, key: &RequestKey, body: Json) -> io::Result<()> {
@@ -446,19 +568,14 @@ impl ArtifactStore {
 
     fn stage_and_rename(&self, kind: EntryKind, digest: &str, text: &str) -> io::Result<()> {
         fs::create_dir_all(self.shard_dir(kind, digest))?;
-        let tmp = self.root.join("tmp").join(format!(
-            "{digest}.{}.{}.tmp",
-            kind.name(),
-            std::process::id()
-        ));
-        fs::write(&tmp, text)?;
-        fs::rename(&tmp, self.entry_path(kind, digest))
+        publish(&self.root.join("tmp"), &self.entry_path(kind, digest), text)
     }
 
     fn count_insert(&self, kind: EntryKind) {
         match kind {
             EntryKind::Positive => self.inserts.fetch_add(1, Ordering::Relaxed),
             EntryKind::Negative => self.neg_inserts.fetch_add(1, Ordering::Relaxed),
+            EntryKind::Proof => return,
         };
     }
 
@@ -525,14 +642,15 @@ impl ArtifactStore {
         entries
     }
 
-    /// Evicts least-recently-used entries (positive and negative share
-    /// one budget and one `(mtime, digest)` order) until the store fits
+    /// Evicts least-recently-used entries (all kinds share one budget
+    /// and one `(mtime, digest)` order) until the store fits
     /// its size budget. Returns the evicted digests in eviction order.
     /// Runs under the store-wide eviction lock, so concurrent writers
     /// trim once.
     pub fn enforce_budget(&self) -> io::Result<Vec<String>> {
         let mut entries = self.scan(EntryKind::Positive);
         entries.extend(self.scan(EntryKind::Negative));
+        entries.extend(self.scan(EntryKind::Proof));
         entries.sort_by(|a, b| (a.2, &a.1).cmp(&(b.2, &b.1)));
         let mut total: u64 = entries.iter().map(|e| e.3).sum();
         if total <= self.max_bytes {
@@ -553,6 +671,12 @@ impl ArtifactStore {
         Ok(evicted)
     }
 
+    /// Entries this handle moved to `quarantine/` (the counter alone,
+    /// without [`stats`](ArtifactStore::stats)'s on-disk census).
+    pub fn quarantined(&self) -> u64 {
+        self.quarantined.load(Ordering::Relaxed)
+    }
+
     /// Current counters plus an on-disk census.
     pub fn stats(&self) -> StoreStats {
         let entries = self.scan(EntryKind::Positive);
@@ -571,6 +695,21 @@ impl ArtifactStore {
             quarantined: self.quarantined.load(Ordering::Relaxed),
         }
     }
+}
+
+/// Writes `text` to `dest` atomically: it is staged in `tmp_dir` under a
+/// name no other writer uses (the pid plus a process-wide sequence),
+/// then renamed into place, so a reader sees the old file or the whole
+/// new one, never a torn write.
+pub fn publish(tmp_dir: &Path, dest: &Path, text: &str) -> io::Result<()> {
+    let name = dest.file_name().and_then(|n| n.to_str()).unwrap_or("entry");
+    let tmp = tmp_dir.join(format!(
+        "{name}.{}.{}.tmp",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    fs::write(&tmp, text)?;
+    fs::rename(&tmp, dest)
 }
 
 /// Parses and integrity-checks one entry document, returning the parsed
@@ -642,5 +781,63 @@ impl LockGuard {
 impl Drop for LockGuard {
     fn drop(&mut self) {
         let _ = fs::remove_file(&self.path);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tmp_root(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("hls-store-test-{}-{tag}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn negative_entry_round_trips() {
+        let e = NegativeEntry {
+            design: "decoder".into(),
+            code: "infeasible-clock".into(),
+            error: "operation mul needs 6.40 ns but the clock period is 0.50 ns".into(),
+            diagnostics: Json::Arr(vec![Json::obj(vec![(
+                "code",
+                Json::str("infeasible-clock"),
+            )])]),
+        };
+        let back = NegativeEntry::from_json(&e.to_json()).unwrap();
+        assert_eq!(back, e);
+    }
+
+    #[test]
+    fn negative_entry_parse_is_strict() {
+        let missing = Json::obj(vec![("design", Json::str("d"))]);
+        assert!(NegativeEntry::from_json(&missing)
+            .unwrap_err()
+            .contains("code"));
+    }
+
+    #[test]
+    fn racing_writers_after_a_stolen_lock_stage_apart() {
+        // A lock left behind by a crashed writer, younger than
+        // `STALE_LOCK`: both writers spin to the limit and steal it, so
+        // they can overlap inside the critical section. Each must stage
+        // under its own tmp name, or one rename publishes the other's
+        // half-written file.
+        let root = tmp_root("steal");
+        let store = ArtifactStore::open(&root, StoreConfig::default()).unwrap();
+        let key = RequestKey::for_preimage("proof-key".into());
+        let body = Json::obj(vec![("stage", Json::str("fsmd"))]);
+        fs::write(root.join("locks").join(format!("{}.lock", key.digest)), "").unwrap();
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let _ = store.insert_proof(&key, body.clone());
+                });
+            }
+        });
+        assert_eq!(store.lookup_proof(&key), Some(body));
+        assert_eq!(fs::read_dir(root.join("tmp")).unwrap().count(), 0);
+        let _ = fs::remove_dir_all(&root);
     }
 }

@@ -13,38 +13,20 @@
 //! - the verify flag (a verified artifact carries a verdict an unverified
 //!   one does not).
 //!
-//! The digest is [`stable_digest`] over that preimage — not
+//! The digest is [`hls_ir::stable_digest`] over that preimage — not
 //! cryptographic, so the store keeps the preimage alongside each entry
 //! and re-checks it on load; a collision degrades to a cache miss, never
 //! to serving the wrong artifact.
 
+pub use hls_core::store::RequestKey;
 use hls_core::{Directives, TechLibrary};
-use hls_ir::{stable_digest, Function};
+use hls_ir::Function;
 
 /// Schema tag mixed into every preimage (bump to invalidate all entries).
 /// v3: directive JSON grew the `stream` interface-synthesis key, so
 /// shelled and unshelled artifacts (and differing FIFO depths) can never
 /// alias pre-stream cache entries.
 pub const REQUEST_SCHEMA: &str = "hls-serve-request/v3";
-
-/// A request's content address: the digest plus the preimage it was
-/// computed from (stored with the entry so integrity is checkable).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RequestKey {
-    /// 32-hex-digit content digest; the entry's on-disk identity.
-    pub digest: String,
-    /// The canonical preimage the digest was computed over.
-    pub preimage: String,
-}
-
-impl RequestKey {
-    /// The digest's leading byte — the store's `objects/<2-hex-prefix>/`
-    /// shard directory, and the cluster's unit of shard ownership (the
-    /// hash ring maps the 256 prefixes onto shards).
-    pub fn shard_prefix(&self) -> u8 {
-        u8::from_str_radix(self.digest.get(..2).unwrap_or("00"), 16).unwrap_or(0)
-    }
-}
 
 /// Builds the canonical content address for one synthesis request.
 pub fn request_key(
@@ -81,14 +63,13 @@ pub fn request_key_for_text(
     preimage.push('\n');
     preimage.push_str("ir\n");
     preimage.push_str(func_text);
-    let digest = stable_digest(preimage.as_bytes());
-    RequestKey { digest, preimage }
+    RequestKey::for_preimage(preimage)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hls_ir::parse_function;
+    use hls_ir::{parse_function, stable_digest};
 
     const SUM_SRC: &str = r#"
         void sum(sc_fixed<10,2> x[8], sc_fixed<16,8> *out) {

@@ -14,7 +14,8 @@
 //! - [`store`] is the content-addressed on-disk artifact store: atomic
 //!   (temp + rename) writes, advisory locks, digest re-verification on
 //!   every load with quarantine for corrupt entries, and deterministic
-//!   size-bounded LRU eviction.
+//!   size-bounded LRU eviction. It lives in [`hls_core::store`], where
+//!   the proof cache shares it, and is re-exported here.
 //! - [`request`] defines the JSON wire schema for request batches.
 //! - [`service`] is the batch engine: a scoped-thread worker pool with
 //!   in-flight dedup, cost-ordered scheduling and admission control
@@ -54,10 +55,15 @@
 #![warn(missing_docs)]
 
 pub mod digest;
-pub mod negative;
 pub mod request;
 pub mod service;
-pub mod store;
+pub use hls_core::store;
+
+/// Negative caching: persisted synthesis *failures*, served for the
+/// cost of one store read (see [`NegativeEntry`]).
+pub mod negative {
+    pub use hls_core::store::{NegativeEntry, NEGATIVE_SCHEMA};
+}
 
 pub use digest::{request_key, request_key_for_text, RequestKey, REQUEST_SCHEMA};
 pub use negative::{NegativeEntry, NEGATIVE_SCHEMA};

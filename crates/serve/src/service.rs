@@ -55,10 +55,8 @@ use hls_ir::{parse_function, Function, Json};
 use hls_verify::{verify_equiv, verify_equiv_cached, ProofCache, ProofCacheStats};
 use rtl::compile_traced;
 
-use crate::digest::RequestKey;
-use crate::negative::NegativeEntry;
 use crate::request::SynthesisRequest;
-use crate::store::{ArtifactStore, CachedArtifact, Verdict};
+use crate::store::{ArtifactStore, CachedArtifact, NegativeEntry, RequestKey, Verdict};
 
 /// Service tuning.
 #[derive(Debug, Clone)]

@@ -5,9 +5,9 @@
 //! (and shrinks) a mismatch, the minimal stimulus is the most valuable
 //! artifact of the whole run — it reproduces the bug in microseconds,
 //! forever. [`save_counterexample`] writes it in the same content-addressed
-//! directory layout the `hls-serve` artifact store uses
-//! (`objects/<2-hex-prefix>/<digest>.json`, written atomically via a temp
-//! file + rename), and [`load_counterexamples`] reads every fixture back
+//! directory layout the [`hls_core::store`] uses
+//! (`objects/<2-hex-prefix>/<digest>.json`, written atomically through
+//! [`publish`]), and [`load_counterexamples`] reads every fixture back
 //! for replay through [`crate::fuzz::replay_stimulus`].
 //!
 //! A fixture is self-describing JSON: every [`Fixed`] travels as its raw
@@ -19,6 +19,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use fixpt::{Fixed, Format, Signedness};
+use hls_core::store::publish;
 use hls_ir::{json::stable_digest, Json, Slot, VarId};
 
 use crate::fuzz::{FuzzCex, Stimulus};
@@ -170,9 +171,7 @@ pub fn save_counterexample(root: &Path, design: &str, cex: &FuzzCex) -> io::Resu
     if final_path.exists() {
         return Ok(digest);
     }
-    let tmp_path = tmp_dir.join(format!("{digest}.{}.tmp", std::process::id()));
-    fs::write(&tmp_path, &text)?;
-    fs::rename(&tmp_path, &final_path)?;
+    publish(&tmp_dir, &final_path, &text)?;
     Ok(digest)
 }
 

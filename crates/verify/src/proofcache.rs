@@ -9,10 +9,12 @@
 //! - **Netlist obligations** are keyed by a [`hls_ir::stable_digest`]
 //!   over the *exact* proof inputs — the schema tag, the originating
 //!   pass name, the prover's [`ProveOptions::max_blast_bits`] budget and
-//!   the canonical [`hls_core::persist`] serialization of both the
-//!   before and after lowered designs. Any change to either side, the
-//!   pass attribution or the blast budget changes the key and forces a
-//!   fresh proof.
+//!   the derived `Debug` rendering of both the before and after lowered
+//!   designs. Every type in a [`hls_core::Lowered`] derives `Debug`,
+//!   which prints every field, so the key covers every field by
+//!   construction — a field added later cannot be left out. Any change
+//!   to either side, the pass attribution or the blast budget changes
+//!   the key and forces a fresh proof.
 //! - **FSMD equivalence verdicts** are keyed by the same structural
 //!   identity [`rtl::Fsmd::same_machine`] uses — name, ports, control,
 //!   schedules and the lowered design — and deliberately *exclude*
@@ -31,17 +33,19 @@
 //! and re-proves. The [`ProofCacheStats::downgrades`] counter counts
 //! decoded persistent entries that were anything other than `Proved`;
 //! it is structurally pinned to zero and exported so benchmarks and
-//! tests can assert the invariant end to end. Torn or corrupted
-//! persistent entries fail the [`hls_core::docstore::DocStore`]
-//! integrity envelope, quarantine, and read as misses.
+//! tests can assert the invariant end to end. The persistent tier is
+//! the proof side ([`EntryKind::Proof`](hls_core::store::EntryKind)) of
+//! an [`ArtifactStore`]: each entry's preimage is the proof key, so
+//! torn, edited or misplaced entries fail the store's integrity
+//! envelope, quarantine, and read as misses.
 
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use hls_core::docstore::DocStore;
-use hls_core::persist::lowered_to_json;
+use hls_core::store::{ArtifactStore, RequestKey, StoreConfig};
 use hls_core::NetlistObligation;
 use hls_ir::{stable_digest, Json};
 use rtl::Fsmd;
@@ -51,13 +55,14 @@ use crate::pipeline::{VerifyFinding, VerifyReport};
 
 /// Key-schema tag: bumped whenever key derivation or the persisted
 /// encoding changes shape, so stale stores miss instead of colliding.
-const KEY_SCHEMA: &str = "pf1";
+/// pf2: designs render through their derived `Debug`.
+const KEY_SCHEMA: &str = "pf2";
 
 /// Cache key for one netlist rewrite obligation under a prover budget.
 ///
 /// Covers the schema tag, the pass name (verdict messages embed it), the
 /// bit-blast budget (a bigger budget can turn `Unknown` into `Proved`)
-/// and the exact canonical serialization of both lowered designs.
+/// and the derived `Debug` rendering of both lowered designs.
 pub fn obligation_key(ob: &NetlistObligation, opts: &ProveOptions) -> String {
     obligation_key_tagged(ob, opts, DEFAULT_OPTIONS_TAG)
 }
@@ -69,17 +74,11 @@ pub fn obligation_key(ob: &NetlistObligation, opts: &ProveOptions) -> String {
 /// tag is part of the content key, exactly as in [`fsmd_key`].
 pub fn obligation_key_tagged(ob: &NetlistObligation, opts: &ProveOptions, tag: &str) -> String {
     let mut text = String::new();
-    text.push_str(KEY_SCHEMA);
-    text.push_str(";obligation;");
-    text.push_str(tag);
-    text.push(';');
-    text.push_str(ob.pass);
-    text.push(';');
-    text.push_str(&opts.max_blast_bits.to_string());
-    text.push(';');
-    text.push_str(&lowered_to_json(&ob.before).write());
-    text.push(';');
-    text.push_str(&lowered_to_json(&ob.after).write());
+    let _ = write!(
+        text,
+        "{KEY_SCHEMA};obligation;{tag};{};{};{:?};{:?}",
+        ob.pass, opts.max_blast_bits, ob.before, ob.after
+    );
     stable_digest(text.as_bytes())
 }
 
@@ -94,17 +93,11 @@ pub fn obligation_key_tagged(ob: &NetlistObligation, opts: &ProveOptions, tag: &
 /// passes [`DEFAULT_OPTIONS_TAG`].
 pub fn fsmd_key(fsmd: &Fsmd, options_tag: &str) -> String {
     let mut text = String::new();
-    text.push_str(KEY_SCHEMA);
-    text.push_str(";fsmd;");
-    text.push_str(options_tag);
-    text.push(';');
-    text.push_str(&fsmd.name);
-    text.push(';');
-    text.push_str(&format!(
-        "{:?};{:?};{:?};",
-        fsmd.ports, fsmd.control, fsmd.schedules
-    ));
-    text.push_str(&lowered_to_json(&fsmd.lowered).write());
+    let _ = write!(
+        text,
+        "{KEY_SCHEMA};fsmd;{options_tag};{};{:?};{:?};{:?};{:?}",
+        fsmd.name, fsmd.ports, fsmd.control, fsmd.schedules, fsmd.lowered
+    );
     stable_digest(text.as_bytes())
 }
 
@@ -114,8 +107,9 @@ pub const DEFAULT_OPTIONS_TAG: &str = "default";
 /// Configuration for a [`ProofCache`].
 #[derive(Debug, Clone, Default)]
 pub struct ProofCacheConfig {
-    /// Root directory for the persistent tier; `None` keeps the cache
-    /// memory-only. Only `Proved` verdicts are ever persisted.
+    /// Root of the [`ArtifactStore`] holding the persistent tier; `None`
+    /// keeps the cache memory-only. Only `Proved` verdicts are ever
+    /// persisted.
     pub persist_dir: Option<PathBuf>,
 }
 
@@ -165,7 +159,7 @@ impl ProofCacheStats {
 pub struct ProofCache {
     obligations: Mutex<HashMap<String, ProveVerdict>>,
     fsmd: Mutex<HashMap<String, VerifyReport>>,
-    persist: Option<DocStore>,
+    persist: Option<ArtifactStore>,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
@@ -186,7 +180,7 @@ impl ProofCache {
         let persist = config
             .persist_dir
             .as_ref()
-            .and_then(|root| DocStore::open(root).ok());
+            .and_then(|root| ArtifactStore::open(root, StoreConfig::default()).ok());
         ProofCache {
             obligations: Mutex::new(HashMap::new()),
             fsmd: Mutex::new(HashMap::new()),
@@ -211,7 +205,7 @@ impl ProofCache {
             return Some(v.clone());
         }
         if let Some(store) = &self.persist {
-            if let Some(body) = store.get(key) {
+            if let Some(body) = store.lookup_proof(&store_key(key)) {
                 if let Some(v) = decode_obligation(&body) {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     self.persist_hits.fetch_add(1, Ordering::Relaxed);
@@ -238,7 +232,8 @@ impl ProofCache {
             .unwrap()
             .insert(key.to_string(), verdict.clone());
         if let (Some(store), Some(body)) = (&self.persist, encode_obligation(verdict)) {
-            store.put(key, &body);
+            // Best-effort: a failed write leaves a miss, never a wrong entry.
+            let _ = store.insert_proof(&store_key(key), body);
         }
     }
 
@@ -249,7 +244,7 @@ impl ProofCache {
             return Some(r.clone());
         }
         if let Some(store) = &self.persist {
-            if let Some(body) = store.get(key) {
+            if let Some(body) = store.lookup_proof(&store_key(key)) {
                 if let Some(r) = decode_fsmd(&body) {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     self.persist_hits.fetch_add(1, Ordering::Relaxed);
@@ -272,7 +267,7 @@ impl ProofCache {
             .unwrap()
             .insert(key.to_string(), report.clone());
         if let (Some(store), Some(body)) = (&self.persist, encode_fsmd(report)) {
-            store.put(key, &body);
+            let _ = store.insert_proof(&store_key(key), body);
         }
     }
 
@@ -289,6 +284,13 @@ impl ProofCache {
             fsmd_entries: self.fsmd.lock().unwrap().len() as u64,
         }
     }
+}
+
+/// The store address of the verdict cached under proof key `key`: the
+/// key itself is the preimage, so the store's preimage→digest check
+/// covers proof entries too.
+fn store_key(key: &str) -> RequestKey {
+    RequestKey::for_preimage(key.to_string())
 }
 
 /// Encodes a verdict for the persistent tier. Returns `None` — meaning
@@ -468,6 +470,57 @@ mod tests {
         assert_eq!(cache.stats().persist_hits, 1);
         assert_eq!(cache.stats().downgrades, 0);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    fn fsmd_for(body: &str) -> Fsmd {
+        let src = format!("void twice(sc_fixed<8,4> x, sc_fixed<10,6> *y) {{ {body} }}");
+        let func = hls_ir::parse_function(&src).unwrap();
+        let lib = hls_core::TechLibrary::asic_100mhz();
+        let r = hls_core::synthesize(&func, &hls_core::Directives::new(10.0), &lib).unwrap();
+        Fsmd::from_synthesis(&r)
+    }
+
+    #[test]
+    fn damaged_entries_quarantine_and_reprove() {
+        use crate::pipeline::verify_equiv_cached;
+        use std::fs;
+
+        assert_eq!(hls_core::store::EntryKind::by_name("proof"), None);
+        let root = tmp_root("integrity");
+        let config = ProofCacheConfig {
+            persist_dir: Some(root.clone()),
+        };
+        let entry = |f: &Fsmd| {
+            let digest = store_key(&fsmd_key(f, DEFAULT_OPTIONS_TAG)).digest;
+            root.join("proofs")
+                .join(&digest[..2])
+                .join(format!("{digest}.json"))
+        };
+        let a = fsmd_for("*y = x + x;");
+        let b = fsmd_for("*y = x + x + x;");
+        assert!(verify_equiv_cached(&a, &ProofCache::new(&config)).passed());
+        let good = fs::read_to_string(entry(&a)).unwrap();
+
+        // A torn write, a body edited under an unchanged digest, and a
+        // verdict copied under another design's key.
+        let torn = good[..good.len() / 2].to_string();
+        let edited = good.replace("\"bit_blasted\":", "\"bit_blasted\":1");
+        assert_ne!(edited, good);
+        for (target, text) in [(&a, torn), (&a, edited), (&b, good)] {
+            let path = entry(target);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, text).unwrap();
+            let cache = ProofCache::new(&config);
+            assert!(verify_equiv_cached(target, &cache).passed());
+            let s = cache.stats();
+            assert_eq!((s.hits, s.misses, s.inserts), (0, 1, 1), "re-proved");
+            assert_eq!((s.persist_quarantined, s.downgrades), (1, 0));
+            // The re-proof repaired the entry for the next process.
+            let cache = ProofCache::new(&config);
+            assert!(verify_equiv_cached(target, &cache).passed());
+            assert_eq!(cache.stats().persist_hits, 1);
+        }
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
