@@ -32,8 +32,8 @@ use std::time::Duration;
 
 use hls_ir::Json;
 use hls_serve::{
-    batch_to_json, parse_batch, serve_batch, ArtifactStore, CountersSnapshot, EntryKind,
-    RequestOutcome, ServiceConfig, SynthesisRequest,
+    batch_to_json, parse_batch, prepare_batch, serve_prepared, ArtifactStore, CountersSnapshot,
+    EntryKind, Prepared, RequestOutcome, ServiceConfig, SynthesisRequest,
 };
 
 use crate::listen::{Connection, Listener};
@@ -122,14 +122,6 @@ pub struct ClusterNode {
     pub(crate) store: ArtifactStore,
     pub(crate) counters: NodeCounters,
     inflight: Mutex<HashMap<String, Arc<InflightSlot>>>,
-}
-
-/// Where one request's digest routes.
-enum Route {
-    /// Served here (owned locally, unparseable, or single-node).
-    Local,
-    /// Owned by another member.
-    Remote(usize),
 }
 
 impl ClusterNode {
@@ -251,38 +243,25 @@ impl ClusterNode {
     /// "store": {...}}` with outcomes in request order regardless of
     /// which shard served each one.
     pub fn route_batch(&self, requests: &[SynthesisRequest], forwarded: bool) -> Json {
+        // Parse and key every request once on this hop: the key routes
+        // it, claims its in-flight slot and is what the service looks
+        // up. Unparseable sources have no digest; they are served
+        // locally so the parse error is reported here.
         let single = self.cfg.members.len() <= 1;
-        let routes: Vec<Route> = requests
-            .iter()
-            .map(|r| {
-                if forwarded || single {
-                    return Route::Local;
-                }
-                match r.prepare() {
-                    // Unparseable sources have no digest; serve locally
-                    // so the parse error is reported here.
-                    Err(_) => Route::Local,
-                    Ok((_, key)) => {
-                        let owner = self.ring.owner(key.shard_prefix());
-                        if owner == self.cfg.self_index {
-                            Route::Local
-                        } else {
-                            Route::Remote(owner)
-                        }
-                    }
-                }
-            })
-            .collect();
-
-        // Partition preserving request order within each destination.
-        let mut local: Vec<usize> = Vec::new();
-        let mut remote: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (i, route) in routes.iter().enumerate() {
-            match route {
-                Route::Local => local.push(i),
-                Route::Remote(owner) => remote.entry(*owner).or_default().push(i),
+        let mut local: Vec<(usize, Prepared)> = Vec::new();
+        let mut remote: HashMap<usize, Vec<(usize, Prepared)>> = HashMap::new();
+        for (i, p) in prepare_batch(requests).into_iter().enumerate() {
+            let owner = match &p {
+                Ok((_, key)) if !forwarded && !single => self.ring.owner(key.shard_prefix()),
+                _ => self.cfg.self_index,
+            };
+            if owner == self.cfg.self_index {
+                local.push((i, p));
+            } else {
+                remote.entry(owner).or_default().push((i, p));
             }
         }
+        let local_n = local.len() as u64;
         let forwarded_n = remote.values().map(Vec::len).sum::<usize>() as u64;
         self.counters
             .forwarded
@@ -294,14 +273,14 @@ impl ClusterNode {
 
         // Forward each remote partition on its own thread while the
         // local partition runs on this one.
-        let mut remote_parts: Vec<(usize, Vec<usize>)> = remote.into_iter().collect();
-        remote_parts.sort_unstable();
-        let replies: Vec<(Vec<usize>, Result<Json, String>)> = thread::scope(|s| {
+        let mut remote_parts: Vec<(usize, Vec<(usize, Prepared)>)> = remote.into_iter().collect();
+        remote_parts.sort_unstable_by_key(|(owner, _)| *owner);
+        let replies: Vec<Result<Json, String>> = thread::scope(|s| {
             let handles: Vec<_> = remote_parts
                 .iter()
-                .map(|(owner, indices)| {
+                .map(|(owner, part)| {
                     let part: Vec<SynthesisRequest> =
-                        indices.iter().map(|&i| requests[i].clone()).collect();
+                        part.iter().map(|(i, _)| requests[*i].clone()).collect();
                     let client = PeerClient::new(self.cfg.members[*owner].clone());
                     s.spawn(move || {
                         match client.call(&Frame::Synth {
@@ -316,25 +295,24 @@ impl ClusterNode {
                 })
                 .collect();
 
-            let (local_outcomes, local_counters) = self.serve_local(requests, &local);
-            for (slot, outcome) in local.iter().zip(local_outcomes) {
+            let slots: Vec<usize> = local.iter().map(|(i, _)| *i).collect();
+            let (local_outcomes, local_counters) = self.serve_local(requests, local);
+            for (slot, outcome) in slots.iter().zip(local_outcomes) {
                 outcomes[*slot] = Some(outcome.to_json());
             }
             counters = local_counters;
 
-            remote_parts
-                .iter()
-                .zip(handles)
-                .map(|((_, indices), h)| {
-                    let reply = h.join().unwrap_or_else(|_| {
-                        Err("internal: forwarding thread panicked".to_string())
-                    });
-                    (indices.clone(), reply)
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|_| Err("internal: forwarding thread panicked".to_string()))
                 })
                 .collect()
         });
 
-        for (indices, reply) in replies {
+        for ((_, part), reply) in remote_parts.into_iter().zip(replies) {
+            let slots: Vec<usize> = part.iter().map(|(i, _)| *i).collect();
             match reply {
                 Ok(report) => {
                     let empty = Vec::new();
@@ -342,7 +320,7 @@ impl ClusterNode {
                         .get("outcomes")
                         .and_then(Json::as_arr)
                         .unwrap_or(&empty);
-                    for (slot, outcome) in indices.iter().zip(remote_outcomes) {
+                    for (slot, outcome) in slots.iter().zip(remote_outcomes) {
                         outcomes[*slot] = Some(outcome.clone());
                     }
                     // A short reply (peer bug) leaves `None`s, filled as
@@ -352,10 +330,9 @@ impl ClusterNode {
                     // The owner is unreachable: serve its partition
                     // here so the client still gets every answer.
                     self.counters.remote_errors.fetch_add(1, Ordering::Relaxed);
-                    fallback_n += indices.len() as u64;
-                    let (fallback_outcomes, fallback_counters) =
-                        self.serve_local(requests, &indices);
-                    for (slot, outcome) in indices.iter().zip(fallback_outcomes) {
+                    fallback_n += slots.len() as u64;
+                    let (fallback_outcomes, fallback_counters) = self.serve_local(requests, part);
+                    for (slot, outcome) in slots.iter().zip(fallback_outcomes) {
                         let mut v = outcome.to_json();
                         if let Json::Obj(fields) = &mut v {
                             fields.push(("forward_error".to_string(), Json::str(e.clone())));
@@ -390,7 +367,7 @@ impl ClusterNode {
                 "routing",
                 Json::obj(vec![
                     ("self", Json::count(self.cfg.self_index as u64)),
-                    ("local", Json::count(local.len() as u64)),
+                    ("local", Json::count(local_n)),
                     ("forwarded", Json::count(forwarded_n)),
                     ("fallback_local", Json::count(fallback_n)),
                 ]),
@@ -399,53 +376,47 @@ impl ClusterNode {
         ])
     }
 
-    /// Serves the requests at `indices` on this shard with
-    /// cross-connection in-flight dedup, returning outcomes in the
-    /// same order as `indices`.
+    /// Serves the prepared requests in `items` (request index, parse and
+    /// key) on this shard with cross-connection in-flight dedup,
+    /// returning outcomes in the same order as `items`.
     fn serve_local(
         &self,
         requests: &[SynthesisRequest],
-        indices: &[usize],
+        items: Vec<(usize, Prepared)>,
     ) -> (Vec<RequestOutcome>, CountersSnapshot) {
         // Claim or follow the in-flight slot for each digest. Requests
-        // that fail to parse have no digest and always run.
+        // that fail to parse have no digest and always run. A follower
+        // keeps its prepared request in case the executor never reports.
         enum Part {
             Run,
-            Follow(Arc<InflightSlot>),
+            Follow(Arc<InflightSlot>, Prepared),
         }
         let mut claimed: Vec<(usize, String)> = Vec::new();
+        let mut to_run: Vec<usize> = Vec::new();
+        let mut run_batch: Vec<(&SynthesisRequest, Prepared)> = Vec::new();
         let parts: Vec<(usize, Part)> = {
             let mut table = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-            indices
-                .iter()
-                .map(|&i| {
-                    let Ok((_, key)) = requests[i].prepare() else {
-                        return (i, Part::Run);
-                    };
-                    match table.get(&key.digest) {
-                        Some(slot) => (i, Part::Follow(Arc::clone(slot))),
-                        None => {
-                            let slot = Arc::new(InflightSlot {
-                                done: Mutex::new(None),
-                                cv: Condvar::new(),
-                            });
-                            table.insert(key.digest.clone(), slot);
-                            claimed.push((i, key.digest));
-                            (i, Part::Run)
+            items
+                .into_iter()
+                .map(|(i, p)| {
+                    if let Ok((_, key)) = &p {
+                        if let Some(slot) = table.get(&key.digest) {
+                            return (i, Part::Follow(Arc::clone(slot), p));
                         }
+                        let slot = Arc::new(InflightSlot {
+                            done: Mutex::new(None),
+                            cv: Condvar::new(),
+                        });
+                        table.insert(key.digest.clone(), slot);
+                        claimed.push((i, key.digest.clone()));
                     }
+                    to_run.push(i);
+                    run_batch.push((&requests[i], p));
+                    (i, Part::Run)
                 })
                 .collect()
         };
-
-        let to_run: Vec<usize> = parts
-            .iter()
-            .filter(|(_, p)| matches!(p, Part::Run))
-            .map(|(i, _)| *i)
-            .collect();
-        let run_requests: Vec<SynthesisRequest> =
-            to_run.iter().map(|&i| requests[i].clone()).collect();
-        let report = serve_batch(&run_requests, &self.store, &self.cfg.service);
+        let report = serve_prepared(run_batch, &self.store, &self.cfg.service);
 
         // Publish executor outcomes and release the slots.
         {
@@ -491,7 +462,7 @@ impl ClusterNode {
                 Part::Run => by_index
                     .remove(&i)
                     .unwrap_or_else(|| missing_outcome(&requests[i].design)),
-                Part::Follow(slot) => {
+                Part::Follow(slot, p) => {
                     self.counters
                         .inflight_deduped
                         .fetch_add(1, Ordering::Relaxed);
@@ -503,8 +474,8 @@ impl ClusterNode {
                         // The executor died or timed out: run it
                         // ourselves rather than hang the client.
                         None => {
-                            let one = [requests[i].clone()];
-                            let mut r = serve_batch(&one, &self.store, &self.cfg.service);
+                            let one = vec![(&requests[i], p)];
+                            let mut r = serve_prepared(one, &self.store, &self.cfg.service);
                             r.outcomes
                                 .pop()
                                 .unwrap_or_else(|| missing_outcome(&requests[i].design))
@@ -519,17 +490,8 @@ impl ClusterNode {
 
 fn missing_outcome(design: &str) -> RequestOutcome {
     RequestOutcome {
-        design: design.to_string(),
-        digest: String::new(),
-        cache_hit: false,
-        deduped: false,
-        rejected: false,
-        negative_hit: false,
-        failure: None,
-        modeled_cost_ns: None,
-        diagnostics: None,
-        artifact: None,
         error: Some("internal: outcome missing from batch report".to_string()),
+        ..RequestOutcome::new(design, "")
     }
 }
 

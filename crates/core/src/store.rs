@@ -46,11 +46,24 @@
 //! [`StoreConfig::max_bytes`] — approximates least-recently-used and is
 //! deterministic given the timestamps. Negative and proof entries share
 //! the same budget and eviction order.
+//!
+//! Census and budget never walk the directory tree on the serving path:
+//! an in-memory size index, built by one scan at
+//! [`ArtifactStore::open`] and kept current by every insert, LRU touch,
+//! eviction and quarantine, holds each entry's `(mtime, digest, kind,
+//! size)` in eviction order. Handles on one root in one process share
+//! the index. Entries other processes write are picked up by a full
+//! rescan at most once per N inserts, N at least the entry count the
+//! last scan found, so that cost is amortized O(1); entries they touch
+//! are re-keyed when eviction reaches them (each victim is `stat`ed
+//! before removal).
 
+use std::collections::{BTreeSet, HashMap};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::{Duration, SystemTime};
 
 use hls_ir::{stable_digest, Json};
@@ -73,6 +86,15 @@ pub const STALE_LOCK: Duration = Duration::from_secs(30);
 /// keeps two writers of one digest (say, after a stolen lock) from
 /// sharing a tmp file. See [`publish`].
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// The size indexes of the stores open in this process, by canonical
+/// root: two handles on one root (the service's and the proof cache's,
+/// say) share one index, so each sees the other's writes at once.
+static INDEXES: Mutex<Vec<(PathBuf, Weak<Mutex<SizeIndex>>)>> = Mutex::new(Vec::new());
+
+/// Inserts between reconciling rescans never drop below this, so a
+/// nearly empty store does not rescan on every insert.
+const RESCAN_MIN_INSERTS: u64 = 64;
 
 /// An entry's content address: the digest plus the preimage it was
 /// computed from (stored with the entry so integrity is checkable).
@@ -160,8 +182,9 @@ impl NegativeEntry {
     }
 }
 
-/// Which side of the store an entry lives on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which side of the store an entry lives on. The derived order
+/// (positive, negative, proof) breaks `(mtime, digest)` ties in eviction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EntryKind {
     /// A synthesized artifact under `objects/`.
     Positive,
@@ -321,6 +344,11 @@ pub struct StoreStats {
     pub neg_entries: u64,
     /// Total bytes under `negative/`.
     pub neg_bytes: u64,
+    /// Proof-verdict entries currently on disk (they share the byte
+    /// budget, so they explain evictions the artifact census cannot).
+    pub proof_entries: u64,
+    /// Total bytes under `proofs/`.
+    pub proof_bytes: u64,
     /// Lookups that returned a verified entry.
     pub hits: u64,
     /// Lookups that found nothing servable.
@@ -345,6 +373,8 @@ impl StoreStats {
             ("bytes", Json::count(self.bytes)),
             ("neg_entries", Json::count(self.neg_entries)),
             ("neg_bytes", Json::count(self.neg_bytes)),
+            ("proof_entries", Json::count(self.proof_entries)),
+            ("proof_bytes", Json::count(self.proof_bytes)),
             ("hits", Json::count(self.hits)),
             ("misses", Json::count(self.misses)),
             ("neg_hits", Json::count(self.neg_hits)),
@@ -356,12 +386,98 @@ impl StoreStats {
     }
 }
 
+/// The in-memory size index: every entry in eviction order plus the
+/// per-kind census, so neither the budget nor [`ArtifactStore::stats`]
+/// walks the tree. Every mutation is an idempotent upsert or remove, so
+/// a scan racing an insert cannot count an entry twice.
+#[derive(Debug, Default)]
+struct SizeIndex {
+    /// Every entry, least recently used first: `(mtime, digest, kind)`.
+    order: BTreeSet<(SystemTime, String, EntryKind)>,
+    /// Each entry's indexed mtime (its key in `order`) and size.
+    entries: HashMap<(EntryKind, String), (SystemTime, u64)>,
+    /// Entries and bytes per kind, indexed by `EntryKind as usize`.
+    count: [u64; 3],
+    bytes: [u64; 3],
+    /// Inserts since the last full scan, and the entries that scan found.
+    inserts_since_scan: u64,
+    scanned: u64,
+}
+
+impl SizeIndex {
+    fn upsert(&mut self, kind: EntryKind, digest: &str, mtime: SystemTime, size: u64) {
+        self.remove(kind, digest);
+        self.order.insert((mtime, digest.to_string(), kind));
+        self.entries
+            .insert((kind, digest.to_string()), (mtime, size));
+        self.count[kind as usize] += 1;
+        self.bytes[kind as usize] += size;
+    }
+
+    fn remove(&mut self, kind: EntryKind, digest: &str) {
+        if let Some((mtime, size)) = self.entries.remove(&(kind, digest.to_string())) {
+            self.order.remove(&(mtime, digest.to_string(), kind));
+            self.count[kind as usize] -= 1;
+            self.bytes[kind as usize] -= size;
+        }
+    }
+
+    fn total_bytes(&self) -> u64 {
+        self.bytes.iter().sum()
+    }
+
+    /// Replaces the index with a walk of `root`'s entry directories.
+    fn rescan(&mut self, root: &Path) {
+        *self = SizeIndex::default();
+        for kind in [EntryKind::Positive, EntryKind::Negative, EntryKind::Proof] {
+            let Ok(shards) = fs::read_dir(root.join(kind.dir())) else {
+                continue;
+            };
+            for shard in shards.flatten().filter_map(|s| fs::read_dir(s.path()).ok()) {
+                for file in shard.flatten() {
+                    let path = file.path();
+                    let (Some(digest), Ok(meta)) =
+                        (path.file_stem().and_then(|s| s.to_str()), file.metadata())
+                    else {
+                        continue;
+                    };
+                    let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+                    self.upsert(kind, digest, mtime, meta.len());
+                }
+            }
+        }
+        self.scanned = self.entries.len() as u64;
+    }
+}
+
+/// The index shared by every handle on `root` in this process, reconciled
+/// with the disk by a fresh scan (the one scan [`ArtifactStore::open`]
+/// does).
+fn shared_index(root: &Path) -> Arc<Mutex<SizeIndex>> {
+    let canonical = fs::canonicalize(root).unwrap_or_else(|_| root.to_path_buf());
+    let mut open = INDEXES.lock().unwrap_or_else(|e| e.into_inner());
+    open.retain(|(_, index)| index.strong_count() > 0);
+    let index = open
+        .iter()
+        .find(|(r, _)| *r == canonical)
+        .and_then(|(_, index)| index.upgrade())
+        .unwrap_or_else(|| {
+            let index = Arc::new(Mutex::new(SizeIndex::default()));
+            open.push((canonical, Arc::downgrade(&index)));
+            index
+        });
+    drop(open);
+    index.lock().unwrap_or_else(|e| e.into_inner()).rescan(root);
+    index
+}
+
 /// A handle on one on-disk store. Cheap to open; safe to share across
 /// threads and processes (all mutation is atomic-rename or lock-guarded).
 #[derive(Debug)]
 pub struct ArtifactStore {
     root: PathBuf,
     max_bytes: u64,
+    index: Arc<Mutex<SizeIndex>>,
     hits: AtomicU64,
     misses: AtomicU64,
     neg_hits: AtomicU64,
@@ -374,7 +490,9 @@ pub struct ArtifactStore {
 impl ArtifactStore {
     /// Opens (creating if needed) the store rooted at `root`, sweeping
     /// staging files abandoned by a crashed writer (older than
-    /// [`STALE_LOCK`]) out of `tmp/`.
+    /// [`STALE_LOCK`]) out of `tmp/`, and builds (or, when another handle
+    /// on `root` is open in this process, reconciles) the size index
+    /// with one scan.
     pub fn open(root: &Path, config: StoreConfig) -> io::Result<ArtifactStore> {
         for sub in ["objects", "negative", "tmp", "quarantine", "locks"] {
             fs::create_dir_all(root.join(sub))?;
@@ -401,6 +519,7 @@ impl ArtifactStore {
         Ok(ArtifactStore {
             root: root.to_path_buf(),
             max_bytes: config.max_bytes,
+            index: shared_index(root),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             neg_hits: AtomicU64::new(0),
@@ -424,6 +543,10 @@ impl ArtifactStore {
 
     fn entry_path(&self, kind: EntryKind, digest: &str) -> PathBuf {
         self.shard_dir(kind, digest).join(format!("{digest}.json"))
+    }
+
+    fn index(&self) -> MutexGuard<'_, SizeIndex> {
+        self.index.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Looks an entry up, verifying integrity. A hit refreshes the
@@ -476,7 +599,10 @@ impl ArtifactStore {
         let path = self.entry_path(kind, digest);
         let text = match fs::read_to_string(&path) {
             Ok(t) => t,
-            Err(_) => {
+            Err(e) => {
+                if e.kind() == io::ErrorKind::NotFound {
+                    self.index().remove(kind, digest); // gone behind our back
+                }
                 if kind == EntryKind::Positive {
                     self.misses.fetch_add(1, Ordering::Relaxed);
                 }
@@ -485,9 +611,13 @@ impl ArtifactStore {
         };
         match check_entry(&text, digest, kind.schema()) {
             Some(doc) => {
-                // LRU touch; failure to touch only ages the entry early.
+                // LRU touch: one `now` goes to the disk and the index.
+                // Failure to touch only ages the entry early.
                 if let Ok(f) = fs::File::options().write(true).open(&path) {
-                    let _ = f.set_modified(SystemTime::now());
+                    let now = SystemTime::now();
+                    if f.set_modified(now).is_ok() {
+                        self.index().upsert(kind, digest, now, text.len() as u64);
+                    }
                 }
                 // Move the body out of the verified document — cloning
                 // a multi-thousand-node parse tree per hit would double
@@ -506,6 +636,7 @@ impl ArtifactStore {
     }
 
     fn quarantine(&self, kind: EntryKind, digest: &str) {
+        self.index().remove(kind, digest);
         let path = self.entry_path(kind, digest);
         let name = match kind {
             EntryKind::Positive => format!("{digest}.json"),
@@ -560,23 +691,39 @@ impl ArtifactStore {
             ),
             ("body", body),
         ]);
-        self.stage_and_rename(kind, &key.digest, &entry.write())?;
-        self.count_insert(kind);
-        self.enforce_budget()?;
-        Ok(())
+        self.admit(kind, &key.digest, &entry.write())
     }
 
-    fn stage_and_rename(&self, kind: EntryKind, digest: &str, text: &str) -> io::Result<()> {
+    /// Publishes one entry document (the caller holds its digest lock),
+    /// indexes it under its on-disk mtime, and trims to the budget.
+    fn admit(&self, kind: EntryKind, digest: &str, text: &str) -> io::Result<()> {
+        let path = self.entry_path(kind, digest);
         fs::create_dir_all(self.shard_dir(kind, digest))?;
-        publish(&self.root.join("tmp"), &self.entry_path(kind, digest), text)
-    }
-
-    fn count_insert(&self, kind: EntryKind) {
+        publish(&self.root.join("tmp"), &path, text)?;
         match kind {
             EntryKind::Positive => self.inserts.fetch_add(1, Ordering::Relaxed),
             EntryKind::Negative => self.neg_inserts.fetch_add(1, Ordering::Relaxed),
-            EntryKind::Proof => return,
+            EntryKind::Proof => 0,
         };
+        {
+            let mut index = self.index();
+            // The kernel stamps the write; index that exact time so the
+            // order matches what a scan would see.
+            let mtime = fs::metadata(&path).and_then(|m| m.modified());
+            index.upsert(
+                kind,
+                digest,
+                mtime.unwrap_or(SystemTime::UNIX_EPOCH),
+                text.len() as u64,
+            );
+            // Pick up what other processes wrote, amortized O(1).
+            index.inserts_since_scan += 1;
+            if index.inserts_since_scan >= index.scanned.max(RESCAN_MIN_INSERTS) {
+                index.rescan(&self.root);
+            }
+        }
+        self.enforce_budget()?;
+        Ok(())
     }
 
     /// Returns the exact on-disk document for `digest` (after an
@@ -608,62 +755,42 @@ impl ArtifactStore {
         }
         let _guard = LockGuard::acquire(&self.root, digest)?;
         if !path.exists() {
-            self.stage_and_rename(kind, digest, text)?;
-            self.count_insert(kind);
-            self.enforce_budget()?;
+            self.admit(kind, digest, text)?;
         }
         Ok(true)
-    }
-
-    /// Walks one side of the store and returns `(path, digest, mtime,
-    /// size)` per entry, sorted by `(mtime, digest)` ascending.
-    fn scan(&self, kind: EntryKind) -> Vec<(PathBuf, String, SystemTime, u64)> {
-        let mut entries = Vec::new();
-        let Ok(shards) = fs::read_dir(self.root.join(kind.dir())) else {
-            return entries;
-        };
-        for shard in shards.flatten() {
-            let Ok(files) = fs::read_dir(shard.path()) else {
-                continue;
-            };
-            for file in files.flatten() {
-                let path = file.path();
-                let Some(stem) = path.file_stem().and_then(|s| s.to_str()).map(String::from) else {
-                    continue;
-                };
-                let Ok(meta) = file.metadata() else {
-                    continue;
-                };
-                let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-                entries.push((path, stem, mtime, meta.len()));
-            }
-        }
-        entries.sort_by(|a, b| (a.2, &a.1).cmp(&(b.2, &b.1)));
-        entries
     }
 
     /// Evicts least-recently-used entries (all kinds share one budget
     /// and one `(mtime, digest)` order) until the store fits
     /// its size budget. Returns the evicted digests in eviction order.
     /// Runs under the store-wide eviction lock, so concurrent writers
-    /// trim once.
+    /// trim once. Victims come off the front of the size index; each is
+    /// `stat`ed first, and one another process touched since it was
+    /// indexed is re-keyed to its true place instead of evicted.
     pub fn enforce_budget(&self) -> io::Result<Vec<String>> {
-        let mut entries = self.scan(EntryKind::Positive);
-        entries.extend(self.scan(EntryKind::Negative));
-        entries.extend(self.scan(EntryKind::Proof));
-        entries.sort_by(|a, b| (a.2, &a.1).cmp(&(b.2, &b.1)));
-        let mut total: u64 = entries.iter().map(|e| e.3).sum();
-        if total <= self.max_bytes {
+        if self.index().total_bytes() <= self.max_bytes {
             return Ok(Vec::new());
         }
         let _guard = LockGuard::acquire(&self.root, "evict")?;
+        let mut index = self.index();
         let mut evicted = Vec::new();
-        for (path, digest, _mtime, size) in entries {
-            if total <= self.max_bytes {
+        while index.total_bytes() > self.max_bytes {
+            let Some((mtime, digest, kind)) = index.order.first().cloned() else {
                 break;
+            };
+            let path = self.entry_path(kind, &digest);
+            let Ok(meta) = fs::metadata(&path) else {
+                index.remove(kind, &digest); // already gone
+                continue;
+            };
+            let on_disk = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+            if on_disk > mtime {
+                index.upsert(kind, &digest, on_disk, meta.len());
+                continue;
             }
+            index.remove(kind, &digest);
+            // A failed unlink means another handle removed it first.
             if fs::remove_file(&path).is_ok() {
-                total -= size;
                 self.evictions.fetch_add(1, Ordering::Relaxed);
                 evicted.push(digest);
             }
@@ -671,21 +798,36 @@ impl ArtifactStore {
         Ok(evicted)
     }
 
+    /// Every entry this handle's index holds, in the order
+    /// [`enforce_budget`](ArtifactStore::enforce_budget) would evict
+    /// them (least recently used first).
+    pub fn eviction_order(&self) -> Vec<(EntryKind, String)> {
+        let index = self.index();
+        index
+            .order
+            .iter()
+            .map(|(_, d, k)| (*k, d.clone()))
+            .collect()
+    }
+
     /// Entries this handle moved to `quarantine/` (the counter alone,
-    /// without [`stats`](ArtifactStore::stats)'s on-disk census).
+    /// without [`stats`](ArtifactStore::stats)'s census).
     pub fn quarantined(&self) -> u64 {
         self.quarantined.load(Ordering::Relaxed)
     }
 
-    /// Current counters plus an on-disk census.
+    /// Current counters plus the census of the size index.
     pub fn stats(&self) -> StoreStats {
-        let entries = self.scan(EntryKind::Positive);
-        let negative = self.scan(EntryKind::Negative);
+        let index = self.index();
+        let (count, bytes) = (index.count, index.bytes);
+        drop(index);
         StoreStats {
-            entries: entries.len() as u64,
-            bytes: entries.iter().map(|e| e.3).sum(),
-            neg_entries: negative.len() as u64,
-            neg_bytes: negative.iter().map(|e| e.3).sum(),
+            entries: count[EntryKind::Positive as usize],
+            bytes: bytes[EntryKind::Positive as usize],
+            neg_entries: count[EntryKind::Negative as usize],
+            neg_bytes: bytes[EntryKind::Negative as usize],
+            proof_entries: count[EntryKind::Proof as usize],
+            proof_bytes: bytes[EntryKind::Proof as usize],
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             neg_hits: self.neg_hits.load(Ordering::Relaxed),

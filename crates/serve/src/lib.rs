@@ -67,9 +67,12 @@ pub mod negative {
 
 pub use digest::{request_key, request_key_for_text, RequestKey, REQUEST_SCHEMA};
 pub use negative::{NegativeEntry, NEGATIVE_SCHEMA};
-pub use request::{batch_from_json, batch_to_json, parse_batch, SynthesisRequest};
+pub use request::{
+    batch_from_json, batch_to_json, parse_batch, prepare_batch, Prepared, SynthesisRequest,
+};
 pub use service::{
-    serve_batch, BatchReport, CountersSnapshot, HistogramSnapshot, RequestOutcome, ServiceConfig,
+    serve_batch, serve_prepared, BatchReport, CountersSnapshot, HistogramSnapshot, RequestOutcome,
+    ServiceConfig,
 };
 pub use store::{
     ArtifactStore, CachedArtifact, EntryKind, StoreConfig, StoreStats, Verdict, ENTRY_SCHEMA,

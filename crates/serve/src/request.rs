@@ -21,7 +21,9 @@
 use hls_core::{Directives, TechLibrary};
 use hls_ir::{parse_function, Function, Json};
 
-use crate::digest::{request_key, RequestKey};
+use std::collections::HashMap;
+
+use crate::digest::{request_key_for_text, RequestKey};
 
 /// One parsed synthesis request.
 #[derive(Debug, Clone)]
@@ -97,14 +99,6 @@ impl SynthesisRequest {
         Json::obj(fields)
     }
 
-    /// Parses the source and computes the request's content address.
-    pub fn prepare(&self) -> Result<(Function, RequestKey), String> {
-        let func = parse_function(&self.source)
-            .map_err(|e| format!("request source does not parse: {e}"))?;
-        let key = request_key(&func, &self.directives, &self.library, self.verify);
-        Ok((func, key))
-    }
-
     /// The label to report for this request.
     pub fn label<'a>(&'a self, func: &'a Function) -> &'a str {
         if self.design.is_empty() {
@@ -113,6 +107,35 @@ impl SynthesisRequest {
             &self.design
         }
     }
+}
+
+/// A request's parsed source and content address, or why it has none.
+pub type Prepared = Result<(Function, RequestKey), String>;
+
+/// Parses and keys every request, parsing each unique source text once —
+/// sweeps reuse one design under many directive sets, and the front end
+/// is pure in the source.
+pub fn prepare_batch(requests: &[SynthesisRequest]) -> Vec<Prepared> {
+    let mut parsed: HashMap<&str, Result<(Function, String), String>> = HashMap::new();
+    requests
+        .iter()
+        .map(|r| {
+            let (func, text) = parsed
+                .entry(r.source.as_str())
+                .or_insert_with(|| {
+                    parse_function(&r.source)
+                        .map(|f| {
+                            let text = f.to_string();
+                            (f, text)
+                        })
+                        .map_err(|e| format!("request source does not parse: {e}"))
+                })
+                .as_ref()
+                .map_err(Clone::clone)?;
+            let key = request_key_for_text(text, &r.directives, &r.library, r.verify);
+            Ok((func.clone(), key))
+        })
+        .collect()
 }
 
 /// Serializes requests as a `{"requests": [...]}` batch — the wire form
@@ -167,8 +190,9 @@ mod tests {
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[0].design, "twice");
         assert!(parsed[0].verify);
-        let (f1, k1) = req.prepare().unwrap();
-        let (_, k2) = parsed[0].prepare().unwrap();
+        let mut prepared = prepare_batch(&[req.clone(), parsed[0].clone()]);
+        let (_, k2) = prepared.pop().unwrap().unwrap();
+        let (f1, k1) = prepared.pop().unwrap().unwrap();
         assert_eq!(k1, k2, "round-trip preserves the content address");
         assert_eq!(req.label(&f1), "twice");
     }

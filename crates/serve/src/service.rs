@@ -1,26 +1,16 @@
 //! The concurrent batch-synthesis engine.
 //!
 //! [`serve_batch`] takes a batch of parsed requests and drives them
-//! through lookup → synthesis → verification → insert on a scoped-thread
-//! worker pool:
+//! through lookup → (bound → admission → synthesis → verification →
+//! insert for misses) on a scoped-thread worker pool:
 //!
 //! - **In-flight dedup**: requests with the same content address are
 //!   collapsed to one job; duplicates share the executor's result and
 //!   are counted in [`CountersSnapshot::deduped`].
-//! - **Cost-ordered scheduling**: each unique job gets the explorer's
-//!   resource-aware admissible bound ([`lower_bound`], computed on the
-//!   loop-transformed design exactly as the sweep computes it), and the
-//!   queue runs cheapest-first by bounded operation count — the same
-//!   size signal the explorer feeds its [`ExploreBudget`] cost model.
-//!   Completed syntheses train an observed ns-per-bounded-op model.
-//! - **Admission control**: with [`ServiceConfig::max_cost_ns`] set, a
-//!   job whose modeled cost reaches the ceiling is rejected up front —
-//!   unless it is cheaper than the budget's `min_prune_cost_ns`, which
-//!   (as in the explorer) always runs, keeping the model fed. A
-//!   rejection carries a structured [`Diagnostic`] with the candidate's
-//!   bounded latency, area and operation count, so callers can tell a
-//!   design that was *too big* from one that merely arrived late.
-//! - **Negative caching**: a miss first probes the store's negative
+//! - **Lookup first**: every unique job is looked up before anything
+//!   else is computed for it, so a hit costs one store read — no bound,
+//!   and admission never sees it.
+//! - **Negative caching**: a positive miss probes the store's negative
 //!   side — if this exact request already *failed* the pipeline, the
 //!   stored [`NegativeEntry`] (error + structured diagnostics) is
 //!   served for a store read instead of a pipeline re-run, and fresh
@@ -28,6 +18,19 @@
 //!   content-addressed failures are cached: parse errors never reach a
 //!   digest and admission rejections depend on the dynamic cost model,
 //!   so neither is persisted.
+//! - **Cost-ordered scheduling**: each miss gets the explorer's
+//!   resource-aware admissible bound ([`lower_bound`], computed on the
+//!   loop-transformed design exactly as the sweep computes it), and the
+//!   queue runs cheapest-first by bounded operation count — the same
+//!   size signal the explorer feeds its [`ExploreBudget`] cost model.
+//!   Completed syntheses train an observed ns-per-bounded-op model.
+//! - **Admission control**: with [`ServiceConfig::max_cost_ns`] set, a
+//!   miss whose modeled cost reaches the ceiling is rejected before it
+//!   runs — unless it is cheaper than the budget's `min_prune_cost_ns`,
+//!   which (as in the explorer) always runs, keeping the model fed. A
+//!   rejection carries a structured [`Diagnostic`] with the candidate's
+//!   bounded latency, area and operation count, so callers can tell a
+//!   design that was *too big* from one that merely arrived late.
 //! - **Observability**: hit/miss/dedup/error counters plus negative-hit
 //!   and negative-insert counters, the queue's peak depth, and
 //!   power-of-two latency histograms per stage.
@@ -51,11 +54,11 @@ use hls_core::{
     apply_loop_transforms, lower_bound, DesignBound, Diagnostic, Diagnostics, ExploreBudget,
     PassCache, PassCacheStats, PipelineConfig,
 };
-use hls_ir::{parse_function, Function, Json};
+use hls_ir::{Function, Json};
 use hls_verify::{verify_equiv, verify_equiv_cached, ProofCache, ProofCacheStats};
 use rtl::compile_traced;
 
-use crate::request::SynthesisRequest;
+use crate::request::{prepare_batch, Prepared, SynthesisRequest};
 use crate::store::{ArtifactStore, CachedArtifact, NegativeEntry, RequestKey, Verdict};
 
 /// Service tuning.
@@ -76,9 +79,8 @@ pub struct ServiceConfig {
     /// independently of this machine's core count.
     pub synth_delay: Duration,
     /// A shared content-addressed pass cache threaded into every
-    /// pipeline invocation. With a persistent tier, a restarted daemon
-    /// replays the clock-independent stage prefix (loop transforms,
-    /// lowering, netlist optimization) without re-running anything.
+    /// pipeline invocation. It is memory-only: it lives as long as the
+    /// service, and a restarted daemon starts it empty.
     pub pass_cache: Option<Arc<PassCache>>,
     /// A shared proof-verdict cache: verified requests replay FSMD
     /// equivalence verdicts for machines already proved (clock twins
@@ -255,7 +257,8 @@ pub struct RequestOutcome {
     /// The structured failure, for requests that failed the pipeline —
     /// fresh or replayed from the negative cache.
     pub failure: Option<NegativeEntry>,
-    /// The job's modeled back-end cost when a model existed.
+    /// The job's modeled back-end cost when a model existed (never on a
+    /// store hit: hits are not bounded or priced).
     pub modeled_cost_ns: Option<u64>,
     /// Structured diagnostics for requests that never reached the
     /// pipeline (admission rejections carry the candidate's admissible
@@ -268,7 +271,9 @@ pub struct RequestOutcome {
 }
 
 impl RequestOutcome {
-    fn failed(design: &str, digest: &str, error: String) -> RequestOutcome {
+    /// An outcome for `design` at `digest` with no flag set and nothing
+    /// attached yet.
+    pub fn new(design: &str, digest: &str) -> RequestOutcome {
         RequestOutcome {
             design: design.to_string(),
             digest: digest.to_string(),
@@ -280,7 +285,14 @@ impl RequestOutcome {
             modeled_cost_ns: None,
             diagnostics: None,
             artifact: None,
+            error: None,
+        }
+    }
+
+    fn failed(design: &str, digest: &str, error: String) -> RequestOutcome {
+        RequestOutcome {
             error: Some(error),
+            ..RequestOutcome::new(design, digest)
         }
     }
 
@@ -382,14 +394,18 @@ impl CostModel {
     }
 }
 
-struct Job {
+/// One unique content address in a batch, run by its first request.
+struct Job<'a> {
     index: usize,
-    func: Function,
-    key: RequestKey,
-    /// The explorer's admissible bound for this candidate, computed on
-    /// the loop-transformed design — sizes the queue and prices
-    /// admission, and is reported verbatim on rejection.
-    bound: DesignBound,
+    req: &'a SynthesisRequest,
+    func: &'a Function,
+    key: &'a RequestKey,
+}
+
+impl Job<'_> {
+    fn outcome(&self) -> RequestOutcome {
+        RequestOutcome::new(self.req.label(self.func), &self.key.digest)
+    }
 }
 
 #[derive(Default)]
@@ -414,111 +430,110 @@ pub fn serve_batch(
     store: &ArtifactStore,
     cfg: &ServiceConfig,
 ) -> BatchReport {
-    // Parse (and canonically render) each unique source text once —
-    // sweeps reuse one design under many directive sets, and the front
-    // end is pure in the source.
-    let mut parsed: HashMap<&str, Result<(Function, String), String>> = HashMap::new();
-    let prepared: Vec<Result<(Function, RequestKey), String>> = requests
-        .iter()
-        .map(|r| {
-            let (func, text) = parsed
-                .entry(r.source.as_str())
-                .or_insert_with(|| {
-                    parse_function(&r.source)
-                        .map(|f| {
-                            let text = f.to_string();
-                            (f, text)
-                        })
-                        .map_err(|e| format!("request source does not parse: {e}"))
-                })
-                .as_ref()
-                .map_err(Clone::clone)?;
-            let key =
-                crate::digest::request_key_for_text(text, &r.directives, &r.library, r.verify);
-            Ok((func.clone(), key))
-        })
-        .collect();
+    serve_prepared(
+        requests.iter().zip(prepare_batch(requests)).collect(),
+        store,
+        cfg,
+    )
+}
 
+/// [`serve_batch`] for requests already parsed and keyed (see
+/// [`prepare_batch`]): a caller that routed on the keys does not parse
+/// twice.
+///
+/// Every unique job is looked up first (positive, then negative side)
+/// on the worker pool. Only misses are bounded, ordered cheapest-first
+/// and put to admission, so a hit costs one store read and admission
+/// can never reject it.
+pub fn serve_prepared(
+    batch: Vec<(&SynthesisRequest, Prepared)>,
+    store: &ArtifactStore,
+    cfg: &ServiceConfig,
+) -> BatchReport {
     // Collapse identical content addresses onto one job each.
     let mut executor: HashMap<&str, usize> = HashMap::new();
-    let mut deduped = 0u64;
     let mut jobs: Vec<Job> = Vec::new();
-    for (i, p) in prepared.iter().enumerate() {
+    for (i, (req, p)) in batch.iter().enumerate() {
         let Ok((func, key)) = p else { continue };
-        if executor.contains_key(key.digest.as_str()) {
-            deduped += 1;
-            continue;
-        }
-        executor.insert(&key.digest, i);
-        // Bound the transformed design, exactly as the explorer bounds
-        // sweep candidates: unrolling changes the operation count the
-        // cost model sizes against.
-        let transformed = apply_loop_transforms(func, &requests[i].directives);
-        let bound = lower_bound(
-            &transformed.func,
-            &requests[i].directives,
-            &requests[i].library,
-        );
-        jobs.push(Job {
-            index: i,
-            func: func.clone(),
-            key: key.clone(),
-            bound,
-        });
-    }
-    let queue_peak = jobs.len() as u64;
-    // Cheapest-first: workers pop from the back.
-    jobs.sort_by(|a, b| (b.bound.ops, &b.key.digest).cmp(&(a.bound.ops, &a.key.digest)));
-
-    let counters = Counters::default();
-    let model = CostModel::default();
-    let queue = Mutex::new(jobs);
-    let results: Mutex<HashMap<String, RequestOutcome>> = Mutex::new(HashMap::new());
-
-    thread::scope(|s| {
-        for _ in 0..cfg.workers.max(1) {
-            // A panicking worker poisons these locks while the job that
-            // panicked is simply absent from `results`; the survivors
-            // keep draining the queue, so recover the guard.
-            s.spawn(|| loop {
-                let job = queue.lock().unwrap_or_else(|e| e.into_inner()).pop();
-                let Some(job) = job else { break };
-                let outcome = run_job(&job, requests, store, cfg, &model, &counters);
-                results
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(job.key.digest.clone(), outcome);
+        if !executor.contains_key(key.digest.as_str()) {
+            executor.insert(&key.digest, i);
+            jobs.push(Job {
+                index: i,
+                req,
+                func,
+                key,
             });
         }
-    });
+    }
+    let deduped = (batch.iter().filter(|(_, p)| p.is_ok()).count() - jobs.len()) as u64;
+    let queue_peak = jobs.len() as u64;
 
-    let results = results.into_inner().unwrap_or_else(|e| e.into_inner());
-    let outcomes = prepared
+    let counters = Counters::default();
+    let mut results: HashMap<usize, RequestOutcome> = HashMap::new();
+    let mut misses = Vec::new();
+    let looked_up = run_pool(cfg.workers, &jobs, |job| lookup_job(job, store, &counters));
+    for (job, found) in jobs.iter().zip(looked_up) {
+        match found {
+            Some(Some(outcome)) => {
+                results.insert(job.index, outcome);
+            }
+            Some(None) => misses.push(job),
+            None => {} // the worker died; reported below
+        }
+    }
+
+    // Bound each miss exactly as the explorer bounds sweep candidates
+    // (on the loop-transformed design: unrolling changes the operation
+    // count the cost model sizes against), then run cheapest-first —
+    // workers pop from the back.
+    let mut misses: Vec<(&Job, DesignBound)> = misses
+        .into_iter()
+        .map(|job| {
+            let d = &job.req.directives;
+            let transformed = apply_loop_transforms(job.func, d);
+            (job, lower_bound(&transformed.func, d, &job.req.library))
+        })
+        .collect();
+    misses.sort_by(|(a, ab), (b, bb)| (bb.ops, &b.key.digest).cmp(&(ab.ops, &a.key.digest)));
+    let model = CostModel::default();
+    let ran = run_pool(cfg.workers, &misses, |(job, bound)| {
+        synthesize_job(job, bound, store, cfg, &model, &counters)
+    });
+    for ((job, _), outcome) in misses.iter().zip(ran) {
+        if let Some(outcome) = outcome {
+            results.insert(job.index, outcome);
+        }
+    }
+
+    let outcomes = batch
         .iter()
         .enumerate()
-        .map(|(i, p)| match p {
+        .map(|(i, (req, p))| match p {
             Err(e) => {
                 counters.errors.fetch_add(1, Ordering::Relaxed);
-                RequestOutcome::failed(&requests[i].design, "", e.clone())
+                RequestOutcome::failed(&req.design, "", e.clone())
             }
-            Ok((_, key)) => match results.get(&key.digest) {
-                Some(done) => {
-                    let mut o = done.clone();
-                    o.deduped = executor.get(key.digest.as_str()) != Some(&i);
-                    o
+            Ok((_, key)) => {
+                let first = executor[key.digest.as_str()];
+                match results.get(&first) {
+                    Some(done) => {
+                        let mut o = done.clone();
+                        o.deduped = first != i;
+                        o
+                    }
+                    // Reachable only if the executing worker panicked
+                    // mid-job; report it as this request's failure
+                    // instead of tearing down the whole batch.
+                    None => {
+                        counters.errors.fetch_add(1, Ordering::Relaxed);
+                        RequestOutcome::failed(
+                            &req.design,
+                            &key.digest,
+                            "internal: worker died before recording an outcome".to_string(),
+                        )
+                    }
                 }
-                // Reachable only if the executing worker panicked
-                // mid-job; report it as this request's failure instead
-                // of tearing down the whole batch.
-                None => {
-                    counters.errors.fetch_add(1, Ordering::Relaxed);
-                    RequestOutcome::failed(
-                        &requests[i].design,
-                        &key.digest,
-                        "internal: worker died before recording an outcome".to_string(),
-                    )
-                }
-            },
+            }
         })
         .collect();
 
@@ -544,17 +559,77 @@ pub fn serve_batch(
     }
 }
 
-fn run_job(
+/// Maps `f` over `items` on up to `workers` scoped threads, which take
+/// items from the back. Results come back in item order; `None` marks an
+/// item whose worker panicked. A lone item runs on the calling thread.
+fn run_pool<T: Sync, R: Send>(
+    workers: usize,
+    items: &[T],
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<Option<R>> {
+    if items.len() <= 1 {
+        return items.iter().map(|item| Some(f(item))).collect();
+    }
+    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
+    let queue = Mutex::new((0..items.len()).collect::<Vec<_>>());
+    thread::scope(|s| {
+        for _ in 0..workers.max(1) {
+            // A panicking worker poisons these locks while its item stays
+            // `None`; the survivors keep draining the queue, so recover
+            // the guard.
+            s.spawn(|| loop {
+                let next = queue.lock().unwrap_or_else(|e| e.into_inner()).pop();
+                let Some(i) = next else { break };
+                let r = f(&items[i]);
+                results.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(r);
+            });
+        }
+    });
+    results.into_inner().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Serves `job` from the store when it can: a verified artifact, or a
+/// deterministic failure replayed from the negative side. `None` is a
+/// miss on both.
+fn lookup_job(job: &Job, store: &ArtifactStore, counters: &Counters) -> Option<RequestOutcome> {
+    let t = Instant::now();
+    let cached = store.lookup(job.key);
+    counters.lookup.record(t.elapsed());
+    if let Some(artifact) = cached {
+        counters.hits.fetch_add(1, Ordering::Relaxed);
+        return Some(RequestOutcome {
+            cache_hit: true,
+            artifact: Some(artifact),
+            ..job.outcome()
+        });
+    }
+    // A positive miss may still be a *negative* hit: this exact request
+    // already failed the pipeline deterministically, so replay the
+    // stored failure instead of re-running.
+    let failure = store.lookup_negative(job.key)?;
+    counters.neg_hits.fetch_add(1, Ordering::Relaxed);
+    counters.errors.fetch_add(1, Ordering::Relaxed);
+    Some(RequestOutcome {
+        negative_hit: true,
+        error: Some(format!("synthesis: {}", failure.error)),
+        failure: Some(failure),
+        ..job.outcome()
+    })
+}
+
+/// Admits (or rejects) one store miss, then synthesizes, verifies and
+/// inserts it.
+fn synthesize_job(
     job: &Job,
-    requests: &[SynthesisRequest],
+    bound: &DesignBound,
     store: &ArtifactStore,
     cfg: &ServiceConfig,
     model: &CostModel,
     counters: &Counters,
 ) -> RequestOutcome {
-    let req = &requests[job.index];
-    let design = req.label(&job.func).to_string();
-    let modeled_cost_ns = model.modeled_ns(job.bound.ops);
+    let req = job.req;
+    let design = req.label(job.func).to_string();
+    let modeled_cost_ns = model.modeled_ns(bound.ops);
 
     // Admission: reject jobs modeled at/over the ceiling — unless they
     // are cheaper than the budget's always-run threshold. The rejection
@@ -570,66 +645,19 @@ fn run_job(
             .in_pass("admission")
             .with_note(format!(
                 "admissible bound: latency >= {} cycles, area >= {:.1}",
-                job.bound.latency_cycles, job.bound.area
+                bound.latency_cycles, bound.area
             ))
-            .with_note(format!("bounded operations: {}", job.bound.ops));
+            .with_note(format!("bounded operations: {}", bound.ops));
             return RequestOutcome {
-                design,
-                digest: job.key.digest.clone(),
-                cache_hit: false,
-                deduped: false,
                 rejected: true,
-                negative_hit: false,
-                failure: None,
                 modeled_cost_ns,
                 diagnostics: Some(Diagnostics::from(diag)),
-                artifact: None,
                 error: Some(format!(
                     "admission: modeled cost {cost} ns reaches the {max} ns ceiling"
                 )),
+                ..job.outcome()
             };
         }
-    }
-
-    let t = Instant::now();
-    let cached = store.lookup(&job.key);
-    counters.lookup.record(t.elapsed());
-    if let Some(artifact) = cached {
-        counters.hits.fetch_add(1, Ordering::Relaxed);
-        return RequestOutcome {
-            design,
-            digest: job.key.digest.clone(),
-            cache_hit: true,
-            deduped: false,
-            rejected: false,
-            negative_hit: false,
-            failure: None,
-            modeled_cost_ns,
-            diagnostics: None,
-            artifact: Some(artifact),
-            error: None,
-        };
-    }
-
-    // A positive miss may still be a *negative* hit: this exact request
-    // already failed the pipeline deterministically, so replay the
-    // stored failure instead of re-running.
-    if let Some(failure) = store.lookup_negative(&job.key) {
-        counters.neg_hits.fetch_add(1, Ordering::Relaxed);
-        counters.errors.fetch_add(1, Ordering::Relaxed);
-        return RequestOutcome {
-            design,
-            digest: job.key.digest.clone(),
-            cache_hit: false,
-            deduped: false,
-            rejected: false,
-            negative_hit: true,
-            modeled_cost_ns,
-            diagnostics: None,
-            artifact: None,
-            error: Some(format!("synthesis: {}", failure.error)),
-            failure: Some(failure),
-        };
     }
     counters.misses.fetch_add(1, Ordering::Relaxed);
 
@@ -638,7 +666,7 @@ fn run_job(
         cache: cfg.pass_cache.clone(),
         ..PipelineConfig::default()
     };
-    let (result, run) = compile_traced(&job.func, &req.directives, &req.library, &pipeline_config);
+    let (result, run) = compile_traced(job.func, &req.directives, &req.library, &pipeline_config);
     if !cfg.synth_delay.is_zero() {
         // Models the external backend tool's wall time (applies to
         // failed runs too: a real tool burns its runtime before
@@ -647,7 +675,7 @@ fn run_job(
     }
     let synth_time = t.elapsed();
     counters.synth.record(synth_time);
-    model.observe(job.bound.ops, synth_time);
+    model.observe(bound.ops, synth_time);
 
     let artifacts = match result {
         Ok(a) => a,
@@ -665,7 +693,7 @@ fn run_job(
             outcome.modeled_cost_ns = modeled_cost_ns;
             // Persist the deterministic failure so retries are store
             // reads; a store error only costs the cache, not the reply.
-            match store.insert_negative(&job.key, &failure) {
+            match store.insert_negative(job.key, &failure) {
                 Ok(()) => {
                     counters.neg_inserts.fetch_add(1, Ordering::Relaxed);
                 }
@@ -692,7 +720,7 @@ fn run_job(
         None
     };
     let artifact = CachedArtifact {
-        design: design.clone(),
+        design,
         verilog: artifacts.verilog,
         metrics: artifacts.synthesis.metrics,
         trace: Json::parse(&run.trace.to_json()).unwrap_or(Json::Null),
@@ -700,23 +728,15 @@ fn run_job(
         diagnostics: Json::parse(&run.diagnostics.to_json()).unwrap_or(Json::Arr(Vec::new())),
     };
     let t = Instant::now();
-    let insert = store.insert(&job.key, &artifact);
+    let insert = store.insert(job.key, &artifact);
     counters.insert.record(t.elapsed());
     counters.synthesized.fetch_add(1, Ordering::Relaxed);
-    let error = insert
-        .err()
-        .map(|e| format!("artifact served but not cached: {e}"));
     RequestOutcome {
-        design,
-        digest: job.key.digest.clone(),
-        cache_hit: false,
-        deduped: false,
-        rejected: false,
-        negative_hit: false,
-        failure: None,
         modeled_cost_ns,
-        diagnostics: None,
         artifact: Some(artifact),
-        error,
+        error: insert
+            .err()
+            .map(|e| format!("artifact served but not cached: {e}")),
+        ..job.outcome()
     }
 }

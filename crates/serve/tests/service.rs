@@ -105,6 +105,39 @@ fn admission_rejects_modeled_over_budget_jobs() {
 }
 
 #[test]
+fn admission_never_rejects_a_cached_hit() {
+    // Admission guards synthesis cost, and a hit costs one store read:
+    // the hit is served before anything is bounded or priced.
+    let root = scratch("admission-hit");
+    let store = ArtifactStore::open(&root, StoreConfig::default()).unwrap();
+    let sum = SynthesisRequest::new(SUM);
+    let warm = serve_batch(
+        std::slice::from_ref(&sum),
+        &store,
+        &ServiceConfig::default(),
+    );
+    assert!(warm.outcomes[0].artifact.is_some());
+    let cfg = ServiceConfig {
+        workers: 1,
+        budget: ExploreBudget {
+            min_prune_cost_ns: 0,
+        },
+        max_cost_ns: Some(1),
+        ..ServiceConfig::default()
+    };
+    // The same batch that `admission_rejects_modeled_over_budget_jobs`
+    // rejects `sum` from, with `sum` now in the store.
+    let report = serve_batch(&[SynthesisRequest::new(TWICE), sum], &store, &cfg);
+    let hit = &report.outcomes[1];
+    assert!(hit.cache_hit, "{:?}", hit.error);
+    assert!(hit.artifact.is_some());
+    assert_eq!(report.counters.rejected, 0);
+    assert_eq!(hit.modeled_cost_ns, None, "a hit is never bounded");
+    assert_eq!((report.counters.hits, report.counters.synthesized), (1, 1));
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
 fn warm_table1_sweep_returns_bit_identical_artifacts() {
     let root = scratch("table1");
     let store = ArtifactStore::open(&root, StoreConfig::default()).unwrap();

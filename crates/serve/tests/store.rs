@@ -11,7 +11,8 @@ use std::time::{Duration, SystemTime};
 use hls_core::{synthesize, DesignMetrics, Directives, OptLevel, TechLibrary};
 use hls_ir::{parse_function, stable_digest, Json};
 use hls_serve::{
-    ArtifactStore, CachedArtifact, NegativeEntry, RequestKey, StoreConfig, Verdict, STALE_LOCK,
+    ArtifactStore, CachedArtifact, EntryKind, NegativeEntry, RequestKey, StoreConfig, Verdict,
+    STALE_LOCK,
 };
 
 fn scratch(tag: &str) -> PathBuf {
@@ -237,6 +238,171 @@ fn eviction_is_lru_and_deterministic() {
 }
 
 #[test]
+fn an_entry_touched_behind_the_handles_back_is_not_evicted_early() {
+    let size = {
+        let root = scratch("bumped-probe");
+        let bytes = pinned_store(&root, 1, u64::MAX).stats().bytes;
+        let _ = fs::remove_dir_all(&root);
+        bytes
+    };
+    let root = scratch("bumped");
+    pinned_store(&root, 10, u64::MAX);
+    let store = ArtifactStore::open(
+        &root,
+        StoreConfig {
+            max_bytes: size * 4 + size / 2,
+        },
+    )
+    .unwrap();
+    // Another process reads entry 0 after this handle indexed it as the
+    // oldest: on disk it is now the most recently used.
+    let k0 = key("evict-0");
+    let path = root
+        .join("objects")
+        .join(&k0.digest[..2])
+        .join(format!("{}.json", k0.digest));
+    fs::File::options()
+        .write(true)
+        .open(&path)
+        .unwrap()
+        .set_modified(SystemTime::UNIX_EPOCH + Duration::from_secs(1_000_100))
+        .unwrap();
+    let evicted = store.enforce_budget().unwrap();
+    let expected: Vec<String> = (1..7).map(|i| key(&format!("evict-{i}")).digest).collect();
+    assert_eq!(evicted, expected, "true LRU order, entry 0 re-keyed");
+    assert!(store.lookup(&k0).is_some(), "the touched entry survives");
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// What a handle's size index says: the census fields of
+/// [`ArtifactStore::stats`] and the eviction order.
+type IndexView = ([u64; 6], Vec<(EntryKind, String)>);
+
+fn index_view(store: &ArtifactStore) -> IndexView {
+    let s = store.stats();
+    (
+        [
+            s.entries,
+            s.bytes,
+            s.neg_entries,
+            s.neg_bytes,
+            s.proof_entries,
+            s.proof_bytes,
+        ],
+        store.eviction_order(),
+    )
+}
+
+fn kind_path(root: &Path, kind: EntryKind, digest: &str) -> PathBuf {
+    let dir = match kind {
+        EntryKind::Positive => "objects",
+        EntryKind::Negative => "negative",
+        EntryKind::Proof => "proofs",
+    };
+    root.join(dir)
+        .join(&digest[..2])
+        .join(format!("{digest}.json"))
+}
+
+#[test]
+fn size_index_matches_a_fresh_scan_after_every_operation() {
+    // Two handles on one root (as the service and the proof cache may
+    // be) take a seeded mix of every mutating operation under a tight
+    // budget; after each step both must agree with a handle that has
+    // just scanned the disk.
+    let root = scratch("index");
+    let side_root = scratch("index-side");
+    let side = ArtifactStore::open(&side_root, StoreConfig::default()).unwrap();
+    side.insert(&key("probe"), &artifact("probe")).unwrap();
+    let cfg = StoreConfig {
+        max_bytes: side.stats().bytes * 6,
+    };
+    let handles = [
+        ArtifactStore::open(&root, cfg).unwrap(),
+        ArtifactStore::open(&root, cfg).unwrap(),
+    ];
+    let failure = NegativeEntry {
+        design: "bad".into(),
+        code: "infeasible-clock".into(),
+        error: "operation cannot fit the clock".into(),
+        diagnostics: Json::Arr(Vec::new()),
+    };
+    let mut state = 0x5eed_1dc5_u64;
+    let mut draw = |n: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % n
+    };
+    let mut inserted: Vec<(EntryKind, RequestKey)> = Vec::new();
+    let mut max_proofs = 0;
+    for step in 0..240u64 {
+        let h = &handles[draw(2) as usize];
+        let tag = format!("index-{step}");
+        let k = key(&tag);
+        match draw(7) {
+            0 => {
+                h.insert(&k, &artifact(&tag)).unwrap();
+                inserted.push((EntryKind::Positive, k));
+            }
+            1 => {
+                side.insert(&k, &artifact(&tag)).unwrap();
+                let text = side.read_raw(EntryKind::Positive, &k.digest).unwrap();
+                assert!(h.insert_raw(EntryKind::Positive, &k.digest, &text).unwrap());
+                inserted.push((EntryKind::Positive, k));
+            }
+            2 => {
+                h.insert_negative(&k, &failure).unwrap();
+                inserted.push((EntryKind::Negative, k));
+            }
+            3 => {
+                h.insert_proof(&k, Json::obj(vec![("step", Json::count(step))]))
+                    .unwrap();
+                inserted.push((EntryKind::Proof, k));
+            }
+            op @ (4 | 5) if !inserted.is_empty() => {
+                let (kind, k) = &inserted[draw(inserted.len() as u64) as usize];
+                let path = kind_path(&root, *kind, &k.digest);
+                let corrupt = op == 5 && path.exists();
+                if corrupt {
+                    let text = fs::read_to_string(&path).unwrap();
+                    fs::write(&path, &text[..text.len() / 2]).unwrap();
+                }
+                let found = match kind {
+                    EntryKind::Positive => h.lookup(k).is_some(),
+                    EntryKind::Negative => h.lookup_negative(k).is_some(),
+                    EntryKind::Proof => h.lookup_proof(k).is_some(),
+                };
+                assert!(!(corrupt && found), "step {step}: a torn entry served");
+            }
+            _ => {
+                h.enforce_budget().unwrap();
+            }
+        }
+        let view = index_view(&handles[0]);
+        assert_eq!(
+            view,
+            index_view(&handles[1]),
+            "step {step}: handles disagree"
+        );
+        let fresh = ArtifactStore::open(&root, cfg).unwrap();
+        assert_eq!(view, index_view(&fresh), "step {step}: index != disk");
+        max_proofs = max_proofs.max(view.0[4]);
+    }
+    // Every path the index follows was exercised.
+    let total = |f: fn(&hls_serve::StoreStats) -> u64| -> u64 {
+        handles.iter().map(|h| f(&h.stats())).sum()
+    };
+    assert!(total(|s| s.evictions) > 0, "the budget never evicted");
+    assert!(total(|s| s.quarantined) > 0, "nothing was quarantined");
+    assert!(total(|s| s.hits) > 0, "no lookup touched an entry");
+    assert!(max_proofs > 0, "the census never showed a proof entry");
+    for r in [&root, &side_root] {
+        let _ = fs::remove_dir_all(r);
+    }
+}
+
+#[test]
 fn request_digest_is_stable_across_processes() {
     // Golden constant: computed once in a separate process. If this test
     // fails, the canonical preimage changed — bump REQUEST_SCHEMA and
@@ -358,7 +524,6 @@ fn negative_entries_round_trip_and_torn_ones_are_rejected() {
 
 #[test]
 fn foreign_raw_documents_are_reverified_before_admission() {
-    use hls_serve::EntryKind;
     let a_root = scratch("raw-a");
     let b_root = scratch("raw-b");
     let a = ArtifactStore::open(&a_root, StoreConfig::default()).unwrap();
