@@ -313,9 +313,9 @@ pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<Incoming>> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn frames_round_trip() {
-        let frames = vec![
+    /// One frame per op (`entry` twice: found and not found).
+    fn one_frame_per_op() -> Vec<Frame> {
+        vec![
             Frame::Batch {
                 requests: Json::Arr(vec![Json::obj(vec![("source", Json::str("void f() {}"))])]),
             },
@@ -344,11 +344,40 @@ mod tests {
             Frame::Error {
                 message: "nope".into(),
             },
-        ];
-        for f in frames {
+        ]
+    }
+
+    #[test]
+    fn frames_round_trip() {
+        for f in one_frame_per_op() {
             let back = Frame::from_json(&f.to_json()).unwrap();
             assert_eq!(back, f);
         }
+    }
+
+    #[test]
+    fn frames_encode_to_pinned_bytes() {
+        // The exact wire bytes of every op under `hls-cluster/v1`: a
+        // peer built from another commit must read these unchanged.
+        let expected = [
+            r#"{"proto":"hls-cluster/v1","op":"batch","requests":[{"source":"void f() {}"}]}"#,
+            r#"{"proto":"hls-cluster/v1","op":"synth","requests":[]}"#,
+            r#"{"proto":"hls-cluster/v1","op":"get","digest":"abababababababababababababababab"}"#,
+            r#"{"proto":"hls-cluster/v1","op":"put","entries":[{"digest":"cdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcd","kind":"negative","entry":"{\"schema\":\"x\"}"}]}"#,
+            r#"{"proto":"hls-cluster/v1","op":"ping"}"#,
+            r#"{"proto":"hls-cluster/v1","op":"stats"}"#,
+            r#"{"proto":"hls-cluster/v1","op":"report","report":{"outcomes":[]}}"#,
+            r#"{"proto":"hls-cluster/v1","op":"entry","found":true,"kind":"positive","entry":"{}"}"#,
+            r#"{"proto":"hls-cluster/v1","op":"entry","found":false}"#,
+            r#"{"proto":"hls-cluster/v1","op":"stored","stored":3}"#,
+            r#"{"proto":"hls-cluster/v1","op":"pong","shard":2}"#,
+            r#"{"proto":"hls-cluster/v1","op":"error","error":"nope"}"#,
+        ];
+        let got: Vec<String> = one_frame_per_op()
+            .iter()
+            .map(|f| f.to_json().write())
+            .collect();
+        assert_eq!(got, expected);
     }
 
     #[test]

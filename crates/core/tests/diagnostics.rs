@@ -4,9 +4,11 @@
 //! on, plus unit tests for the public [`hls_core::merge_hazards`]
 //! dependence analysis on nested and unsafe loop pairs.
 
+use std::sync::Arc;
+
 use hls_core::{
-    merge_hazards, synthesize_traced, Anchor, Directives, HazardKind, PipelineConfig, Severity,
-    SynthesisError, TechLibrary, Unroll,
+    merge_hazards, synthesize_traced, Anchor, Diagnostic, Diagnostics, Directives, HazardKind,
+    PassCache, PassCacheConfig, PipelineConfig, Severity, SynthesisError, TechLibrary, Unroll,
 };
 use hls_ir::{CmpOp, Expr, Function, FunctionBuilder, Ty};
 
@@ -170,6 +172,66 @@ fn merge_hazard_diagnostic_is_a_warning() {
         "{diag:?}"
     );
     assert!(diag.anchors.contains(&Anchor::Var("x".into())), "{diag:?}");
+}
+
+#[test]
+fn trace_and_diagnostics_json_bytes_are_pinned() {
+    // The documented trace and diagnostics schemas, byte for byte, for
+    // the merge-hazard run with its wall times zeroed: once cold with
+    // invariants re-checked, once replayed from the same pass cache.
+    let config = PipelineConfig {
+        cache: Some(Arc::new(PassCache::new(PassCacheConfig::default()))),
+        ..PipelineConfig::checked()
+    };
+    let (f, d, lib) = (
+        hazard_pair(),
+        Directives::new(10.0),
+        TechLibrary::asic_100mhz(),
+    );
+    let zeroed = |mut run: hls_core::PipelineRun| {
+        run.trace.total_ns = 0;
+        for p in &mut run.trace.passes {
+            p.wall_ns = 0;
+        }
+        run
+    };
+    let (result, cold) = synthesize_traced(&f, &d, &lib, &config);
+    assert!(result.is_ok());
+    let (result, warm) = synthesize_traced(&f, &d, &lib, &config);
+    assert!(result.is_ok());
+    let (cold, warm) = (zeroed(cold), zeroed(warm));
+    assert_eq!(
+        cold.trace.to_json(),
+        r#"{"design":"h","total_ns":0,"cache":{"hits":0,"misses":5,"inserts":5},"passes":[{"pass":"validate-ir","wall_ns":0,"before":{"ops":6,"loops":2,"segments":0,"cells":0,"fus":0},"after":{"ops":6,"loops":2,"segments":0,"cells":0,"fus":0},"diagnostics":0,"invariants_checked":false,"memo_hit":false},{"pass":"check-directives","wall_ns":0,"before":{"ops":6,"loops":2,"segments":0,"cells":0,"fus":0},"after":{"ops":6,"loops":2,"segments":0,"cells":0,"fus":0},"diagnostics":0,"invariants_checked":false,"memo_hit":false},{"pass":"loop-transforms","wall_ns":0,"before":{"ops":6,"loops":2,"segments":0,"cells":0,"fus":0},"after":{"ops":13,"loops":1,"segments":0,"cells":0,"fus":0},"diagnostics":1,"invariants_checked":true,"memo_hit":false},{"pass":"lower","wall_ns":0,"before":{"ops":13,"loops":1,"segments":0,"cells":0,"fus":0},"after":{"ops":13,"loops":1,"segments":2,"cells":28,"fus":0},"diagnostics":0,"invariants_checked":true,"memo_hit":false},{"pass":"netlist-opt","wall_ns":0,"before":{"ops":13,"loops":1,"segments":2,"cells":28,"fus":0},"after":{"ops":13,"loops":1,"segments":2,"cells":26,"fus":0},"diagnostics":1,"invariants_checked":false,"memo_hit":false},{"pass":"schedule","wall_ns":0,"before":{"ops":13,"loops":1,"segments":2,"cells":26,"fus":0},"after":{"ops":13,"loops":1,"segments":2,"cells":26,"fus":0},"diagnostics":0,"invariants_checked":false,"memo_hit":false},{"pass":"allocate","wall_ns":0,"before":{"ops":13,"loops":1,"segments":2,"cells":26,"fus":0},"after":{"ops":13,"loops":1,"segments":2,"cells":26,"fus":9},"diagnostics":0,"invariants_checked":false,"memo_hit":false},{"pass":"metrics","wall_ns":0,"before":{"ops":13,"loops":1,"segments":2,"cells":26,"fus":9},"after":{"ops":13,"loops":1,"segments":2,"cells":26,"fus":9},"diagnostics":0,"invariants_checked":false,"memo_hit":false}]}"#
+    );
+    assert_eq!(
+        cold.diagnostics.to_json(),
+        r#"[{"severity":"warning","code":"merge-hazard","pass":"loop-transforms","message":"merging `read` with `shift` breaks a write-before-read dependence on `x`","anchors":[{"kind":"loop","name":"read"},{"kind":"loop","name":"shift"},{"kind":"var","name":"x"}]},{"severity":"note","code":"netlist-opt","pass":"netlist-opt","message":"28 -> 26 cells, depth 2 -> 2, critical 2.02 -> 2.02 ns (4 passes)"}]"#
+    );
+    assert_eq!(
+        warm.trace.to_json(),
+        r#"{"design":"h","total_ns":0,"cache":{"hits":5,"misses":0,"inserts":0},"passes":[{"pass":"validate-ir","wall_ns":0,"before":{"ops":6,"loops":2,"segments":0,"cells":0,"fus":0},"after":{"ops":6,"loops":2,"segments":0,"cells":0,"fus":0},"diagnostics":0,"invariants_checked":false,"memo_hit":false},{"pass":"check-directives","wall_ns":0,"before":{"ops":6,"loops":2,"segments":0,"cells":0,"fus":0},"after":{"ops":6,"loops":2,"segments":0,"cells":0,"fus":0},"diagnostics":0,"invariants_checked":false,"memo_hit":false},{"pass":"loop-transforms","wall_ns":0,"before":{"ops":6,"loops":2,"segments":0,"cells":0,"fus":0},"after":{"ops":13,"loops":1,"segments":0,"cells":0,"fus":0},"diagnostics":2,"invariants_checked":"cached","memo_hit":true},{"pass":"lower","wall_ns":0,"before":{"ops":13,"loops":1,"segments":0,"cells":0,"fus":0},"after":{"ops":13,"loops":1,"segments":2,"cells":28,"fus":0},"diagnostics":1,"invariants_checked":"cached","memo_hit":true},{"pass":"netlist-opt","wall_ns":0,"before":{"ops":13,"loops":1,"segments":2,"cells":28,"fus":0},"after":{"ops":13,"loops":1,"segments":2,"cells":26,"fus":0},"diagnostics":2,"invariants_checked":false,"memo_hit":true},{"pass":"schedule","wall_ns":0,"before":{"ops":13,"loops":1,"segments":2,"cells":26,"fus":0},"after":{"ops":13,"loops":1,"segments":2,"cells":26,"fus":0},"diagnostics":1,"invariants_checked":false,"memo_hit":true},{"pass":"allocate","wall_ns":0,"before":{"ops":13,"loops":1,"segments":2,"cells":26,"fus":0},"after":{"ops":13,"loops":1,"segments":2,"cells":26,"fus":9},"diagnostics":1,"invariants_checked":false,"memo_hit":true},{"pass":"metrics","wall_ns":0,"before":{"ops":13,"loops":1,"segments":2,"cells":26,"fus":9},"after":{"ops":13,"loops":1,"segments":2,"cells":26,"fus":9},"diagnostics":0,"invariants_checked":false,"memo_hit":false}]}"#
+    );
+    assert_eq!(
+        warm.diagnostics.to_json(),
+        r#"[{"severity":"note","code":"memo-hit","pass":"loop-transforms","message":"loop transforms reused from pass cache"},{"severity":"warning","code":"merge-hazard","pass":"loop-transforms","message":"merging `read` with `shift` breaks a write-before-read dependence on `x`","anchors":[{"kind":"loop","name":"read"},{"kind":"loop","name":"shift"},{"kind":"var","name":"x"}]},{"severity":"note","code":"memo-hit","pass":"lower","message":"lowering reused from pass cache"},{"severity":"note","code":"memo-hit","pass":"netlist-opt","message":"optimized netlist reused from pass cache"},{"severity":"note","code":"netlist-opt","pass":"netlist-opt","message":"28 -> 26 cells, depth 2 -> 2, critical 2.02 -> 2.02 ns (4 passes)"},{"severity":"note","code":"memo-hit","pass":"schedule","message":"schedules reused from pass cache"},{"severity":"note","code":"memo-hit","pass":"allocate","message":"allocation reused from pass cache"}]"#
+    );
+
+    // Every optional part of a diagnostic, and string escaping.
+    let mut all = Diagnostics::new();
+    all.push(
+        Diagnostic::error("unknown-loop", "no loop \"q\"\tin\\ h\u{1}")
+            .in_pass("check-directives")
+            .with_anchor(Anchor::Loop("q".into()))
+            .with_anchor(Anchor::Var("x".into()))
+            .with_anchor(Anchor::Op("mul/16".into()))
+            .with_note("first\nsecond"),
+    );
+    all.push(Diagnostic::note("plain", "unstamped"));
+    assert_eq!(
+        all.to_json(),
+        r#"[{"severity":"error","code":"unknown-loop","pass":"check-directives","message":"no loop \"q\"\tin\\ h\u0001","anchors":[{"kind":"loop","name":"q"},{"kind":"var","name":"x"},{"kind":"op","name":"mul/16"}],"notes":["first\nsecond"]},{"severity":"note","code":"plain","message":"unstamped"}]"#
+    );
 }
 
 // ---------------------------------------------------------------------------

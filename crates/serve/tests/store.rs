@@ -8,7 +8,10 @@ use std::sync::OnceLock;
 use std::thread;
 use std::time::{Duration, SystemTime};
 
-use hls_core::{synthesize, DesignMetrics, Directives, OptLevel, TechLibrary};
+use hls_core::{
+    synthesize, ArrayMapping, DesignMetrics, Directives, InterfaceKind, MergePolicy, OpClass,
+    OptLevel, TechLibrary, Unroll,
+};
 use hls_ir::{parse_function, stable_digest, Json};
 use hls_serve::{
     ArtifactStore, CachedArtifact, EntryKind, NegativeEntry, RequestKey, StoreConfig, Verdict,
@@ -419,6 +422,47 @@ fn request_digest_is_stable_across_processes() {
         true,
     );
     assert_eq!(k.digest, "d6d8538784ccb0927f98255f2003719f");
+}
+
+#[test]
+fn request_digest_pins_every_directive_field() {
+    // Golden constants, like the one above, for a directive set with
+    // every field away from its default: each unroll kind, a pipeline
+    // II, `no_merge`, register and memory arrays, all four interface
+    // kinds, an FU limit, netlist-opt `basic` and a stream shell.
+    let f = parse_function(
+        "void sum(sc_fixed<10,2> x[8], sc_fixed<16,8> *out) { sc_fixed<16,8> acc = 0; \
+         sum_loop: for (int k = 0; k < 8; k++) { acc += x[k]; } *out = acc; }",
+    )
+    .unwrap();
+    let d = Directives::new(7.5)
+        .merge_policy(MergePolicy::ExactOnly)
+        .unroll("sum_loop", Unroll::Factor(2))
+        .pipeline("sum_loop", 3)
+        .unroll("full_loop", Unroll::Full)
+        .unroll("rolled_loop", Unroll::None)
+        .no_merge("rolled_loop")
+        .map_array("x", ArrayMapping::Registers)
+        .map_array(
+            "taps",
+            ArrayMapping::Memory {
+                read_ports: 2,
+                write_ports: 1,
+            },
+        )
+        .interface("out", InterfaceKind::Wire)
+        .interface("x", InterfaceKind::RegisterHandshake)
+        .interface("taps", InterfaceKind::Memory)
+        .interface("samples", InterfaceKind::Stream)
+        .limit_fu(OpClass::Mul, 3)
+        .netlist_opt_level(OptLevel::Basic)
+        .stream_interface(4, true);
+    assert_eq!(
+        d.to_json().write(),
+        r#"{"clock_period_ns":7.5,"merge_policy":"exact_only","loops":{"full_loop":{"unroll":"full","pipeline_ii":null,"no_merge":false},"rolled_loop":{"unroll":"none","pipeline_ii":null,"no_merge":true},"sum_loop":{"unroll":2,"pipeline_ii":3,"no_merge":false}},"arrays":{"taps":{"read_ports":2,"write_ports":1},"x":"registers"},"interfaces":{"out":"wire","samples":"stream","taps":"memory","x":"register_handshake"},"fu_limits":{"mul":3},"netlist_opt":{"level":"basic"},"stream":{"fifo_depth":4,"fall_through":true}}"#
+    );
+    let k = hls_serve::request_key(&f, &d, &TechLibrary::asic_100mhz(), false);
+    assert_eq!(k.digest, r#"ac0efdcb5a642289c6e4b5374fdc429b"#);
 }
 
 #[test]
