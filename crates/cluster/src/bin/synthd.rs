@@ -180,7 +180,7 @@ fn parse_args() -> Result<Options, String> {
 fn serve_text(text: &str, store: &ArtifactStore, cfg: &ServiceConfig) -> String {
     match parse_batch(text) {
         Ok(requests) => serve_batch(&requests, store, cfg).to_json(store).write(),
-        Err(e) => format!("{{\"error\":{}}}", hls_ir::Json::str(e).write()),
+        Err(e) => hls_ir::Json::obj(vec![("error", hls_ir::Json::str(e))]).write(),
     }
 }
 

@@ -94,18 +94,9 @@ pub struct NodeCounters {
     pub remote_errors: AtomicU64,
 }
 
-impl NodeCounters {
-    /// Serializes the counters.
-    pub fn to_json(&self) -> Json {
-        let c = |a: &AtomicU64| Json::count(a.load(Ordering::Relaxed));
-        Json::obj(vec![
-            ("forwarded", c(&self.forwarded)),
-            ("fallback_local", c(&self.fallback_local)),
-            ("inflight_deduped", c(&self.inflight_deduped)),
-            ("replicated_out", c(&self.replicated_out)),
-            ("replicated_in", c(&self.replicated_in)),
-            ("remote_errors", c(&self.remote_errors)),
-        ])
+hls_ir::json_struct! {
+    pub NodeCounters {
+        forwarded, fallback_local, inflight_deduped, replicated_out, replicated_in, remote_errors,
     }
 }
 
@@ -227,7 +218,7 @@ impl ClusterNode {
     pub fn handle_legacy(&self, line: &str) -> String {
         match parse_batch(line) {
             Ok(requests) => self.route_batch(&requests, false).write(),
-            Err(e) => format!("{{\"error\":{}}}", Json::str(e).write()),
+            Err(e) => Json::obj(vec![("error", Json::str(e))]).write(),
         }
     }
 

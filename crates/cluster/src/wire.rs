@@ -26,6 +26,7 @@
 
 use std::io::{self, BufRead, Write};
 
+use hls_ir::json::{field, field_or, Encode};
 use hls_ir::Json;
 use hls_serve::EntryKind;
 
@@ -43,6 +44,18 @@ pub struct PutEntry {
     /// The exact on-disk document text; the receiver re-verifies the
     /// full integrity chain before admitting it.
     pub entry: String,
+}
+
+hls_ir::json_struct! {
+    impl PutEntry as "put entry" { digest, kind, entry }
+}
+
+/// Refuses a kind with no wire form: proof entries stay in one store.
+fn wire_kind(kind: EntryKind) -> Result<EntryKind, String> {
+    match kind {
+        EntryKind::Proof => Err("frame: proof entries never travel".to_string()),
+        kind => Ok(kind),
+    }
 }
 
 /// One protocol message.
@@ -121,146 +134,74 @@ impl Frame {
 
     /// Serializes the frame as a single JSON object.
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![("proto", Json::str(PROTO)), ("op", Json::str(self.op()))];
+        let mut fields = vec![("proto", PROTO.encode()), ("op", self.op().encode())];
         match self {
             Frame::Batch { requests } | Frame::Synth { requests } => {
-                fields.push(("requests", requests.clone()));
+                fields.push(("requests", requests.encode()));
             }
-            Frame::Get { digest } => fields.push(("digest", Json::str(digest.clone()))),
-            Frame::Put { entries } => fields.push((
-                "entries",
-                Json::Arr(
-                    entries
-                        .iter()
-                        .map(|e| {
-                            Json::obj(vec![
-                                ("digest", Json::str(e.digest.clone())),
-                                ("kind", Json::str(e.kind.name())),
-                                ("entry", Json::str(e.entry.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            )),
+            Frame::Get { digest } => fields.push(("digest", digest.encode())),
+            Frame::Put { entries } => fields.push(("entries", entries.encode())),
             Frame::Ping | Frame::Stats => {}
-            Frame::Report(v) => fields.push(("report", v.clone())),
-            Frame::Entry { found } => match found {
-                Some((kind, entry)) => {
-                    fields.push(("found", Json::Bool(true)));
-                    fields.push(("kind", Json::str(kind.name())));
-                    fields.push(("entry", Json::str(entry.clone())));
+            Frame::Report(v) => fields.push(("report", v.encode())),
+            Frame::Entry { found } => {
+                fields.push(("found", found.is_some().encode()));
+                if let Some((kind, entry)) = found {
+                    fields.push(("kind", kind.encode()));
+                    fields.push(("entry", entry.encode()));
                 }
-                None => fields.push(("found", Json::Bool(false))),
-            },
-            Frame::Stored { stored } => fields.push(("stored", Json::count(*stored))),
-            Frame::Pong { shard } => fields.push(("shard", Json::count(*shard))),
-            Frame::Error { message } => fields.push(("error", Json::str(message.clone()))),
+            }
+            Frame::Stored { stored } => fields.push(("stored", stored.encode())),
+            Frame::Pong { shard } => fields.push(("shard", shard.encode())),
+            Frame::Error { message } => fields.push(("error", message.encode())),
         }
         Json::obj(fields)
     }
 
     /// Parses a frame, checking the protocol version.
     pub fn from_json(v: &Json) -> Result<Frame, String> {
-        let proto = v
-            .get("proto")
-            .and_then(Json::as_str)
-            .ok_or("frame: missing proto tag")?;
+        const L: &str = "frame";
+        let proto: String = field(v, L, "proto")?;
         if proto != PROTO {
             return Err(format!(
                 "frame: protocol version mismatch (peer speaks `{proto}`, this shard `{PROTO}`)"
             ));
         }
-        let op = v
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or("frame: missing op")?;
-        let requests = || {
-            v.get("requests")
-                .cloned()
-                .ok_or_else(|| format!("frame: `{op}` needs requests"))
-        };
-        match op {
-            "batch" => Ok(Frame::Batch {
-                requests: requests()?,
-            }),
-            "synth" => Ok(Frame::Synth {
-                requests: requests()?,
-            }),
-            "get" => Ok(Frame::Get {
-                digest: v
-                    .get("digest")
-                    .and_then(Json::as_str)
-                    .ok_or("frame: `get` needs digest")?
-                    .to_string(),
-            }),
+        let op: String = field(v, L, "op")?;
+        Ok(match op.as_str() {
+            "batch" => Frame::Batch {
+                requests: field(v, L, "requests")?,
+            },
+            "synth" => Frame::Synth {
+                requests: field(v, L, "requests")?,
+            },
+            "get" => Frame::Get {
+                digest: field(v, L, "digest")?,
+            },
             "put" => {
-                let entries = v
-                    .get("entries")
-                    .and_then(Json::as_arr)
-                    .ok_or("frame: `put` needs entries")?;
-                entries
-                    .iter()
-                    .map(|e| {
-                        Ok(PutEntry {
-                            digest: e
-                                .get("digest")
-                                .and_then(Json::as_str)
-                                .ok_or("frame: put entry needs digest")?
-                                .to_string(),
-                            kind: e
-                                .get("kind")
-                                .and_then(Json::as_str)
-                                .and_then(EntryKind::by_name)
-                                .ok_or("frame: put entry needs a valid kind")?,
-                            entry: e
-                                .get("entry")
-                                .and_then(Json::as_str)
-                                .ok_or("frame: put entry needs entry text")?
-                                .to_string(),
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()
-                    .map(|entries| Frame::Put { entries })
-            }
-            "ping" => Ok(Frame::Ping),
-            "stats" => Ok(Frame::Stats),
-            "report" => Ok(Frame::Report(
-                v.get("report").cloned().unwrap_or(Json::Null),
-            )),
-            "entry" => {
-                let found = v.get("found").and_then(Json::as_bool).unwrap_or(false);
-                if !found {
-                    return Ok(Frame::Entry { found: None });
+                let entries: Vec<PutEntry> = field(v, L, "entries")?;
+                for e in &entries {
+                    wire_kind(e.kind)?;
                 }
-                let kind = v
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .and_then(EntryKind::by_name)
-                    .ok_or("frame: entry reply needs a valid kind")?;
-                let entry = v
-                    .get("entry")
-                    .and_then(Json::as_str)
-                    .ok_or("frame: entry reply needs entry text")?
-                    .to_string();
-                Ok(Frame::Entry {
-                    found: Some((kind, entry)),
-                })
+                Frame::Put { entries }
             }
-            "stored" => Ok(Frame::Stored {
-                stored: v.get("stored").and_then(Json::as_u64).unwrap_or(0),
-            }),
-            "pong" => Ok(Frame::Pong {
-                shard: v.get("shard").and_then(Json::as_u64).unwrap_or(0),
-            }),
-            "error" => Ok(Frame::Error {
-                message: v
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unspecified peer error")
-                    .to_string(),
-            }),
-            other => Err(format!("frame: unknown op `{other}`")),
-        }
+            "ping" => Frame::Ping,
+            "stats" => Frame::Stats,
+            "report" => Frame::Report(field_or(v, L, "report", || Json::Null)?),
+            "entry" if field_or(v, L, "found", || false)? => Frame::Entry {
+                found: Some((wire_kind(field(v, L, "kind")?)?, field(v, L, "entry")?)),
+            },
+            "entry" => Frame::Entry { found: None },
+            "stored" => Frame::Stored {
+                stored: field_or(v, L, "stored", || 0)?,
+            },
+            "pong" => Frame::Pong {
+                shard: field_or(v, L, "shard", || 0)?,
+            },
+            "error" => Frame::Error {
+                message: field_or(v, L, "error", || "unspecified peer error".to_string())?,
+            },
+            other => return Err(format!("frame: unknown op `{other}`")),
+        })
     }
 
     /// Writes the frame as one NDJSON line.
@@ -378,6 +319,76 @@ mod tests {
             .map(|f| f.to_json().write())
             .collect();
         assert_eq!(got, expected);
+    }
+
+    mod sampled {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::prop::collection::vec;
+        use proptest::prop::option;
+        use proptest::prop::sample::select;
+
+        fn text() -> BoxedStrategy<String> {
+            "[a-f0-9 \"\\\\\n{}:é]{0,16}".boxed()
+        }
+
+        fn json() -> BoxedStrategy<Json> {
+            let leaf = prop_oneof![
+                any::<bool>().prop_map(Json::Bool),
+                (-1e6..1e6f64).prop_map(Json::Num),
+                text().prop_map(Json::Str),
+            ];
+            leaf.prop_recursive(2, 8, 3, |inner| {
+                prop_oneof![
+                    vec(inner.clone(), 0..3).prop_map(Json::Arr),
+                    vec(("[a-z]{1,6}", inner), 0..3).prop_map(Json::Obj),
+                ]
+            })
+        }
+
+        fn frame() -> BoxedStrategy<Frame> {
+            let kind = select(vec![EntryKind::Positive, EntryKind::Negative]);
+            let entry = (text(), kind.clone(), text()).prop_map(|(digest, kind, entry)| PutEntry {
+                digest,
+                kind,
+                entry,
+            });
+            prop_oneof![
+                json().prop_map(|requests| Frame::Batch { requests }),
+                json().prop_map(|requests| Frame::Synth { requests }),
+                text().prop_map(|digest| Frame::Get { digest }),
+                vec(entry, 0..3).prop_map(|entries| Frame::Put { entries }),
+                select(vec![Frame::Ping, Frame::Stats]),
+                json().prop_map(Frame::Report),
+                option::of((kind, text())).prop_map(|found| Frame::Entry { found }),
+                (0u64..1 << 53).prop_map(|stored| Frame::Stored { stored }),
+                (0u64..1 << 53).prop_map(|shard| Frame::Pong { shard }),
+                text().prop_map(|message| Frame::Error { message }),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn frames_round_trip_through_text(f in frame()) {
+                let text = f.to_json().write();
+                let back = Frame::from_json(&Json::parse(&text).unwrap()).unwrap();
+                prop_assert_eq!(&back, &f);
+                prop_assert_eq!(back.to_json().write(), text);
+            }
+        }
+    }
+
+    #[test]
+    fn proof_entries_never_decode_off_the_wire() {
+        for line in [
+            r#"{"proto":"hls-cluster/v1","op":"put","entries":[{"digest":"ab","kind":"proof","entry":"{}"}]}"#,
+            r#"{"proto":"hls-cluster/v1","op":"entry","found":true,"kind":"proof","entry":"{}"}"#,
+        ] {
+            let err = Frame::from_json(&Json::parse(line).unwrap()).unwrap_err();
+            assert!(err.contains("proof"), "{err}");
+        }
     }
 
     #[test]

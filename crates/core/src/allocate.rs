@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use hls_ir::{Function, Json, VarKind};
+use hls_ir::{Function, VarKind};
 
 use crate::dfg::{Dfg, NodeKind};
 use crate::directives::{ArrayMapping, Directives};
@@ -66,102 +66,17 @@ impl Allocation {
             .map(|g| g.count)
             .unwrap_or(0)
     }
+}
 
-    /// Serializes the allocation for the `hls-serve` artifact store.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            (
-                "fu_groups",
-                Json::Arr(self.fu_groups.iter().map(FuGroup::to_json).collect()),
-            ),
-            ("state_bits", Json::count(self.state_bits)),
-            ("temp_bits", Json::count(self.temp_bits)),
-            ("fsm_states", Json::size(self.fsm_states)),
-            ("fu_area", Json::Num(self.fu_area)),
-            ("mux_area", Json::Num(self.mux_area)),
-            ("reg_area", Json::Num(self.reg_area)),
-            ("ctrl_area", Json::Num(self.ctrl_area)),
-            ("total_area", Json::Num(self.total_area)),
-        ])
-    }
-
-    /// Deserializes an allocation written by [`Allocation::to_json`].
-    pub fn from_json(v: &Json) -> Result<Allocation, String> {
-        let num = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_f64)
-                .ok_or(format!("allocation: missing {k}"))
-        };
-        let fu_groups = v
-            .get("fu_groups")
-            .and_then(Json::as_arr)
-            .ok_or("allocation: missing fu_groups")?
-            .iter()
-            .map(FuGroup::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Allocation {
-            fu_groups,
-            state_bits: v
-                .get("state_bits")
-                .and_then(Json::as_u64)
-                .ok_or("allocation: missing state_bits")?,
-            temp_bits: v
-                .get("temp_bits")
-                .and_then(Json::as_u64)
-                .ok_or("allocation: missing temp_bits")?,
-            fsm_states: v
-                .get("fsm_states")
-                .and_then(Json::as_u64)
-                .ok_or("allocation: missing fsm_states")? as usize,
-            fu_area: num("fu_area")?,
-            mux_area: num("mux_area")?,
-            reg_area: num("reg_area")?,
-            ctrl_area: num("ctrl_area")?,
-            total_area: num("total_area")?,
-        })
+hls_ir::json_struct! {
+    pub Allocation as "allocation" {
+        fu_groups, state_bits, temp_bits, fsm_states, fu_area, mux_area, reg_area, ctrl_area,
+        total_area,
     }
 }
 
-impl FuGroup {
-    /// Serializes one functional-unit group.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("class", Json::str(self.class.to_string())),
-            ("count", Json::count(self.count as u64)),
-            ("width", Json::count(self.width as u64)),
-            ("bound_ops", Json::count(self.bound_ops as u64)),
-            ("fu_area", Json::Num(self.fu_area)),
-            ("mux_area", Json::Num(self.mux_area)),
-        ])
-    }
-
-    /// Deserializes one group written by [`FuGroup::to_json`].
-    pub fn from_json(v: &Json) -> Result<FuGroup, String> {
-        let int = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .ok_or(format!("fu_group: missing {k}"))
-        };
-        let class_name = v
-            .get("class")
-            .and_then(Json::as_str)
-            .ok_or("fu_group: missing class")?;
-        Ok(FuGroup {
-            class: OpClass::parse(class_name)
-                .ok_or_else(|| format!("fu_group: unknown class {class_name:?}"))?,
-            count: int("count")? as u32,
-            width: int("width")? as u32,
-            bound_ops: int("bound_ops")? as u32,
-            fu_area: v
-                .get("fu_area")
-                .and_then(Json::as_f64)
-                .ok_or("fu_group: missing fu_area")?,
-            mux_area: v
-                .get("mux_area")
-                .and_then(Json::as_f64)
-                .ok_or("fu_group: missing mux_area")?,
-        })
-    }
+hls_ir::json_struct! {
+    pub FuGroup as "fu_group" { class, count, width, bound_ops, fu_area, mux_area }
 }
 
 /// Performs allocation over all scheduled segments.

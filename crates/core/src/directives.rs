@@ -8,9 +8,11 @@
 
 use std::collections::BTreeMap;
 
+use hls_ir::json::{field, field_or, Decode, Encode, Named};
 use hls_ir::Json;
 
 use crate::netlist::{NetlistOptConfig, OptLevel};
+use crate::tech::OpClass;
 
 /// How a loop is unrolled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -260,7 +262,7 @@ impl Directives {
     }
 
     /// Caps the number of functional units of one class.
-    pub fn limit_fu(mut self, class: crate::tech::OpClass, max: u32) -> Self {
+    pub fn limit_fu(mut self, class: OpClass, max: u32) -> Self {
         self.fu_limits.insert(class.to_string(), max);
         self
     }
@@ -281,202 +283,138 @@ impl Directives {
     }
 
     /// The FU limit for a class, if any.
-    pub fn fu_limit(&self, class: crate::tech::OpClass) -> Option<u32> {
+    pub fn fu_limit(&self, class: OpClass) -> Option<u32> {
         self.fu_limits.get(&class.to_string()).copied()
     }
+}
 
-    /// Serializes the directive set to the JSON request schema used by
-    /// `hls-serve` (BTreeMap iteration keeps key order deterministic).
-    pub fn to_json(&self) -> Json {
-        let loops = self
-            .loops
-            .iter()
-            .map(|(label, d)| {
-                let unroll = match d.unroll {
-                    Unroll::None => Json::str("none"),
-                    Unroll::Full => Json::str("full"),
-                    Unroll::Factor(f) => Json::count(f as u64),
-                };
-                let ii = match d.pipeline_ii {
-                    Some(ii) => Json::count(ii as u64),
-                    None => Json::Null,
-                };
-                (
-                    label.clone(),
-                    Json::obj(vec![
-                        ("unroll", unroll),
-                        ("pipeline_ii", ii),
-                        ("no_merge", Json::Bool(d.no_merge)),
-                    ]),
-                )
-            })
-            .collect();
-        let arrays = self
-            .arrays
-            .iter()
-            .map(|(var, m)| {
-                let v = match m {
-                    ArrayMapping::Registers => Json::str("registers"),
-                    ArrayMapping::Memory {
-                        read_ports,
-                        write_ports,
-                    } => Json::obj(vec![
-                        ("read_ports", Json::count(*read_ports as u64)),
-                        ("write_ports", Json::count(*write_ports as u64)),
-                    ]),
-                };
-                (var.clone(), v)
-            })
-            .collect();
-        let interfaces = self
-            .interfaces
-            .iter()
-            .map(|(param, k)| {
-                let v = match k {
-                    InterfaceKind::Wire => "wire",
-                    InterfaceKind::RegisterHandshake => "register_handshake",
-                    InterfaceKind::Memory => "memory",
-                    InterfaceKind::Stream => "stream",
-                };
-                (param.clone(), Json::str(v))
-            })
-            .collect();
-        let fu_limits = self
-            .fu_limits
-            .iter()
-            .map(|(class, max)| (class.clone(), Json::count(*max as u64)))
-            .collect();
-        let policy = match self.merge_policy {
-            MergePolicy::AllowHazards => "allow_hazards",
-            MergePolicy::ExactOnly => "exact_only",
-            MergePolicy::Off => "off",
-        };
+impl Named for MergePolicy {
+    const NAMES: &'static [(MergePolicy, &'static str)] = &[
+        (MergePolicy::AllowHazards, "allow_hazards"),
+        (MergePolicy::ExactOnly, "exact_only"),
+        (MergePolicy::Off, "off"),
+    ];
+}
+
+impl Named for InterfaceKind {
+    const NAMES: &'static [(InterfaceKind, &'static str)] = &[
+        (InterfaceKind::Wire, "wire"),
+        (InterfaceKind::RegisterHandshake, "register_handshake"),
+        (InterfaceKind::Memory, "memory"),
+        (InterfaceKind::Stream, "stream"),
+    ];
+}
+
+/// `"none"`, `"full"` or the factor.
+impl Encode for Unroll {
+    fn encode(&self) -> Json {
+        match self {
+            Unroll::None => Json::str("none"),
+            Unroll::Full => Json::str("full"),
+            Unroll::Factor(f) => f.encode(),
+        }
+    }
+}
+
+impl Decode for Unroll {
+    fn decode(v: &Json) -> Result<Unroll, String> {
+        match v.as_str() {
+            Some("none") => Ok(Unroll::None),
+            Some("full") => Ok(Unroll::Full),
+            Some(other) => Err(format!("unknown name {other:?}")),
+            None => u32::decode(v).map(Unroll::Factor),
+        }
+    }
+}
+
+hls_ir::json_struct! {
+    impl LoopDirective as "loop" { unroll or Unroll::None, pipeline_ii, no_merge or false }
+}
+
+/// `"registers"` or `{"read_ports": r, "write_ports": w}`.
+impl Encode for ArrayMapping {
+    fn encode(&self) -> Json {
+        match self {
+            ArrayMapping::Registers => Json::str("registers"),
+            ArrayMapping::Memory {
+                read_ports,
+                write_ports,
+            } => Json::obj(vec![
+                ("read_ports", read_ports.encode()),
+                ("write_ports", write_ports.encode()),
+            ]),
+        }
+    }
+}
+
+impl Decode for ArrayMapping {
+    fn decode(v: &Json) -> Result<ArrayMapping, String> {
+        match v {
+            Json::Str(s) if s == "registers" => Ok(ArrayMapping::Registers),
+            Json::Obj(_) => Ok(ArrayMapping::Memory {
+                read_ports: field(v, "memory", "read_ports")?,
+                write_ports: field(v, "memory", "write_ports")?,
+            }),
+            _ => Err("expected \"registers\" or a memory mapping".to_string()),
+        }
+    }
+}
+
+hls_ir::json_struct! {
+    impl StreamInterface as "stream" { fifo_depth, fall_through or false }
+}
+
+/// The JSON request schema used by `hls-serve` (map keys in `BTreeMap`
+/// order, so the encoding is deterministic). Absent keys take the tool
+/// defaults; unknown policies, FU classes and interface kinds are
+/// rejected, and a stream shell needs a FIFO depth of at least 1.
+impl Encode for Directives {
+    fn encode(&self) -> Json {
         Json::obj(vec![
-            ("clock_period_ns", Json::Num(self.clock_period_ns)),
-            ("merge_policy", Json::str(policy)),
-            ("loops", Json::Obj(loops)),
-            ("arrays", Json::Obj(arrays)),
-            ("interfaces", Json::Obj(interfaces)),
-            ("fu_limits", Json::Obj(fu_limits)),
-            ("netlist_opt", self.netlist_opt.to_json()),
-            (
-                "stream",
-                match &self.stream {
-                    None => Json::Null,
-                    Some(s) => Json::obj(vec![
-                        ("fifo_depth", Json::count(s.fifo_depth as u64)),
-                        ("fall_through", Json::Bool(s.fall_through)),
-                    ]),
-                },
-            ),
+            ("clock_period_ns", self.clock_period_ns.encode()),
+            ("merge_policy", self.merge_policy.encode()),
+            ("loops", self.loops.encode()),
+            ("arrays", self.arrays.encode()),
+            ("interfaces", self.interfaces.encode()),
+            ("fu_limits", self.fu_limits.encode()),
+            ("netlist_opt", self.netlist_opt.encode()),
+            ("stream", self.stream.encode()),
         ])
     }
+}
 
-    /// Deserializes a directive set from the JSON request schema. Unknown
-    /// keys inside known maps are rejected so malformed requests fail loudly.
-    pub fn from_json(v: &Json) -> Result<Directives, String> {
-        let clock = v
-            .get("clock_period_ns")
-            .and_then(Json::as_f64)
-            .ok_or("directives: missing numeric clock_period_ns")?;
-        let mut d = Directives::new(clock);
-        d.merge_policy = match v.get("merge_policy").and_then(Json::as_str) {
-            None | Some("allow_hazards") => MergePolicy::AllowHazards,
-            Some("exact_only") => MergePolicy::ExactOnly,
-            Some("off") => MergePolicy::Off,
-            Some(other) => return Err(format!("directives: unknown merge_policy {other:?}")),
+impl Decode for Directives {
+    fn decode(v: &Json) -> Result<Directives, String> {
+        const L: &str = "directives";
+        let d = Directives {
+            clock_period_ns: field(v, L, "clock_period_ns")?,
+            merge_policy: field_or(v, L, "merge_policy", MergePolicy::default)?,
+            loops: field_or(v, L, "loops", BTreeMap::new)?,
+            arrays: field_or(v, L, "arrays", BTreeMap::new)?,
+            interfaces: field_or(v, L, "interfaces", BTreeMap::new)?,
+            fu_limits: field_or(v, L, "fu_limits", BTreeMap::new)?,
+            netlist_opt: field_or(v, L, "netlist_opt", NetlistOptConfig::default)?,
+            stream: field(v, L, "stream")?,
         };
-        for (label, ld) in v.get("loops").and_then(Json::as_obj).unwrap_or(&[]) {
-            let unroll = match ld.get("unroll") {
-                None => Unroll::None,
-                Some(u) => match (u.as_str(), u.as_u64()) {
-                    (Some("none"), _) => Unroll::None,
-                    (Some("full"), _) => Unroll::Full,
-                    (_, Some(f)) => Unroll::Factor(f as u32),
-                    _ => return Err(format!("directives: bad unroll for loop {label:?}")),
-                },
-            };
-            let pipeline_ii = match ld.get("pipeline_ii") {
-                None | Some(Json::Null) => None,
-                Some(ii) => Some(
-                    ii.as_u64()
-                        .ok_or_else(|| format!("directives: bad pipeline_ii for loop {label:?}"))?
-                        as u32,
-                ),
-            };
-            let no_merge = ld.get("no_merge").and_then(Json::as_bool).unwrap_or(false);
-            d.loops.insert(
-                label.clone(),
-                LoopDirective {
-                    unroll,
-                    pipeline_ii,
-                    no_merge,
-                },
-            );
+        if let Some(class) = d.fu_limits.keys().find(|c| OpClass::parse(c).is_none()) {
+            return Err(format!("{L}: unknown fu class {class:?}"));
         }
-        for (var, m) in v.get("arrays").and_then(Json::as_obj).unwrap_or(&[]) {
-            let mapping =
-                match m {
-                    Json::Str(s) if s == "registers" => ArrayMapping::Registers,
-                    Json::Obj(_) => {
-                        ArrayMapping::Memory {
-                            read_ports: m.get("read_ports").and_then(Json::as_u64).ok_or_else(
-                                || format!("directives: bad mapping for array {var:?}"),
-                            )? as u32,
-                            write_ports: m.get("write_ports").and_then(Json::as_u64).ok_or_else(
-                                || format!("directives: bad mapping for array {var:?}"),
-                            )? as u32,
-                        }
-                    }
-                    _ => return Err(format!("directives: bad mapping for array {var:?}")),
-                };
-            d.arrays.insert(var.clone(), mapping);
-        }
-        for (param, k) in v.get("interfaces").and_then(Json::as_obj).unwrap_or(&[]) {
-            let kind = match k.as_str() {
-                Some("wire") => InterfaceKind::Wire,
-                Some("register_handshake") => InterfaceKind::RegisterHandshake,
-                Some("memory") => InterfaceKind::Memory,
-                Some("stream") => InterfaceKind::Stream,
-                _ => return Err(format!("directives: bad interface for {param:?}")),
-            };
-            d.interfaces.insert(param.clone(), kind);
-        }
-        for (class, max) in v.get("fu_limits").and_then(Json::as_obj).unwrap_or(&[]) {
-            if crate::tech::OpClass::parse(class).is_none() {
-                return Err(format!("directives: unknown fu class {class:?}"));
-            }
-            let max = max
-                .as_u64()
-                .ok_or_else(|| format!("directives: bad fu limit for {class:?}"))?;
-            d.fu_limits.insert(class.clone(), max as u32);
-        }
-        if let Some(n) = v.get("netlist_opt") {
-            // Absent key => the default (older serialized forms).
-            d.netlist_opt =
-                NetlistOptConfig::from_json(n).map_err(|e| format!("directives: {e}"))?;
-        }
-        match v.get("stream") {
-            // Absent key => no stream shell (older serialized forms).
-            None | Some(Json::Null) => {}
-            Some(s) => {
-                let depth = s
-                    .get("fifo_depth")
-                    .and_then(Json::as_u64)
-                    .ok_or("directives: stream needs a numeric fifo_depth")?;
-                if depth == 0 {
-                    return Err("directives: stream fifo_depth must be >= 1".into());
-                }
-                d.stream = Some(StreamInterface {
-                    fifo_depth: depth as u32,
-                    fall_through: s
-                        .get("fall_through")
-                        .and_then(Json::as_bool)
-                        .unwrap_or(false),
-                });
-            }
+        if d.stream.is_some_and(|s| s.fifo_depth == 0) {
+            return Err(format!("{L}: stream fifo_depth must be >= 1"));
         }
         Ok(d)
+    }
+}
+
+impl Directives {
+    /// Serializes the directive set to the JSON request schema.
+    pub fn to_json(&self) -> Json {
+        self.encode()
+    }
+
+    /// Deserializes a directive set from the JSON request schema.
+    pub fn from_json(v: &Json) -> Result<Directives, String> {
+        Directives::decode(v)
     }
 }
 

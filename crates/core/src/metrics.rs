@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use hls_ir::Json;
-
 use crate::allocate::Allocation;
 use crate::lower::Segment;
 use crate::schedule::Schedule;
@@ -85,95 +83,16 @@ impl DesignMetrics {
     pub fn data_rate_mbps(&self, bits_per_call: u32) -> f64 {
         bits_per_call as f64 * self.calls_per_second() / 1e6
     }
+}
 
-    /// Serializes the metrics (including the allocation breakdown) for the
-    /// `hls-serve` artifact store.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("latency_cycles", Json::count(self.latency_cycles)),
-            ("latency_ns", Json::Num(self.latency_ns)),
-            ("clock_ns", Json::Num(self.clock_ns)),
-            ("critical_path_ns", Json::Num(self.critical_path_ns)),
-            (
-                "segments",
-                Json::Arr(self.segments.iter().map(SegmentCycles::to_json).collect()),
-            ),
-            ("area", Json::Num(self.area)),
-            ("allocation", self.allocation.to_json()),
-        ])
-    }
-
-    /// Deserializes metrics written by [`DesignMetrics::to_json`].
-    pub fn from_json(v: &Json) -> Result<DesignMetrics, String> {
-        let num = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_f64)
-                .ok_or(format!("metrics: missing {k}"))
-        };
-        let segments = v
-            .get("segments")
-            .and_then(Json::as_arr)
-            .ok_or("metrics: missing segments")?
-            .iter()
-            .map(SegmentCycles::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(DesignMetrics {
-            latency_cycles: v
-                .get("latency_cycles")
-                .and_then(Json::as_u64)
-                .ok_or("metrics: missing latency_cycles")?,
-            latency_ns: num("latency_ns")?,
-            clock_ns: num("clock_ns")?,
-            critical_path_ns: num("critical_path_ns")?,
-            segments,
-            area: num("area")?,
-            allocation: Allocation::from_json(
-                v.get("allocation").ok_or("metrics: missing allocation")?,
-            )?,
-        })
+hls_ir::json_struct! {
+    pub DesignMetrics as "metrics" {
+        latency_cycles, latency_ns, clock_ns, critical_path_ns, segments, area, allocation,
     }
 }
 
-impl SegmentCycles {
-    /// Serializes one segment's cycle accounting.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::str(self.name.clone())),
-            ("trip", Json::size(self.trip)),
-            ("depth", Json::count(self.depth as u64)),
-            (
-                "ii",
-                match self.ii {
-                    Some(ii) => Json::count(ii as u64),
-                    None => Json::Null,
-                },
-            ),
-            ("cycles", Json::count(self.cycles)),
-        ])
-    }
-
-    /// Deserializes one segment written by [`SegmentCycles::to_json`].
-    pub fn from_json(v: &Json) -> Result<SegmentCycles, String> {
-        let int = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .ok_or(format!("segment: missing {k}"))
-        };
-        Ok(SegmentCycles {
-            name: v
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("segment: missing name")?
-                .to_string(),
-            trip: int("trip")? as usize,
-            depth: int("depth")? as u32,
-            ii: match v.get("ii") {
-                None | Some(Json::Null) => None,
-                Some(ii) => Some(ii.as_u64().ok_or("segment: bad ii")? as u32),
-            },
-            cycles: int("cycles")?,
-        })
-    }
+hls_ir::json_struct! {
+    pub SegmentCycles as "segment" { name, trip, depth, ii, cycles }
 }
 
 impl fmt::Display for DesignMetrics {

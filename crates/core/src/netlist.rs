@@ -39,7 +39,8 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use fixpt::{Fixed, Format, Overflow, Quantization, Signedness};
-use hls_ir::{BinOp, Json, UnOp, VarId};
+use hls_ir::json::Named;
+use hls_ir::{BinOp, UnOp, VarId};
 
 use crate::dfg::{Dfg, NodeId, NodeKind};
 use crate::lower::{Lowered, Segment};
@@ -64,24 +65,23 @@ pub enum OptLevel {
     Full,
 }
 
+impl Named for OptLevel {
+    const NAMES: &'static [(OptLevel, &'static str)] = &[
+        (OptLevel::Off, "off"),
+        (OptLevel::Basic, "basic"),
+        (OptLevel::Full, "full"),
+    ];
+}
+
 impl OptLevel {
     /// Stable name, used in JSON and digests.
     pub fn as_str(self) -> &'static str {
-        match self {
-            OptLevel::Off => "off",
-            OptLevel::Basic => "basic",
-            OptLevel::Full => "full",
-        }
+        self.name()
     }
 
     /// Inverse of [`OptLevel::as_str`].
     pub fn parse(s: &str) -> Option<OptLevel> {
-        match s {
-            "off" => Some(OptLevel::Off),
-            "basic" => Some(OptLevel::Basic),
-            "full" => Some(OptLevel::Full),
-            _ => None,
-        }
+        OptLevel::by_name(s)
     }
 }
 
@@ -129,22 +129,10 @@ impl NetlistOptConfig {
             OptLevel::Full => &[Mode::Fold, Mode::ConstProp, Mode::Cse, Mode::Rebalance],
         }
     }
+}
 
-    /// JSON form (`{"level": "full"}`).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![("level", Json::str(self.level.as_str()))])
-    }
-
-    /// Inverse of [`NetlistOptConfig::to_json`]; missing fields default.
-    pub fn from_json(v: &Json) -> Result<NetlistOptConfig, String> {
-        let mut cfg = NetlistOptConfig::default();
-        if let Some(l) = v.get("level") {
-            let s = l.as_str().ok_or("netlist_opt: `level` is not a string")?;
-            cfg.level =
-                OptLevel::parse(s).ok_or_else(|| format!("netlist_opt: unknown level `{s}`"))?;
-        }
-        Ok(cfg)
-    }
+hls_ir::json_struct! {
+    pub NetlistOptConfig as "netlist_opt" { level or OptLevel::default() }
 }
 
 // ---------------------------------------------------------------------------
@@ -197,19 +185,10 @@ pub struct PassDelta {
     pub critical_ns_after: f64,
 }
 
-impl PassDelta {
-    /// Stable JSON form for benches.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("pass", Json::str(self.pass)),
-            ("changed_segments", Json::num(self.changed_segments as u32)),
-            ("cells_before", Json::num(self.cells_before as u32)),
-            ("cells_after", Json::num(self.cells_after as u32)),
-            ("depth_before", Json::num(self.depth_before as u32)),
-            ("depth_after", Json::num(self.depth_after as u32)),
-            ("critical_ns_before", Json::num(self.critical_ns_before)),
-            ("critical_ns_after", Json::num(self.critical_ns_after)),
-        ])
+hls_ir::json_struct! {
+    pub PassDelta {
+        pass, changed_segments, cells_before, cells_after, depth_before, depth_after,
+        critical_ns_before, critical_ns_after,
     }
 }
 
@@ -249,14 +228,10 @@ impl NetlistReport {
             self.deltas.len()
         )
     }
+}
 
-    /// Stable JSON form for benches.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![(
-            "passes",
-            Json::Arr(self.deltas.iter().map(PassDelta::to_json).collect()),
-        )])
-    }
+hls_ir::json_struct! {
+    pub NetlistReport { deltas as "passes" }
 }
 
 /// An equivalence obligation: "the design `after` computes the same
@@ -1313,7 +1288,7 @@ pub fn apply_unsound_rewrite_for_selftest(lowered: &mut Lowered) -> Option<Netli
 mod tests {
     use super::*;
     use crate::dfg::Dfg;
-    use hls_ir::{parse_function, Function};
+    use hls_ir::{parse_function, Function, Json};
 
     fn lib() -> TechLibrary {
         TechLibrary::asic_100mhz()

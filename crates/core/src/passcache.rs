@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use hls_ir::{stable_digest, Expr, Function, Json, Stmt};
+use hls_ir::{stable_digest, Expr, Function, Stmt};
 
 use crate::allocate::Allocation;
 use crate::directives::Directives;
@@ -267,18 +267,8 @@ pub struct PassCacheStats {
     pub bytes: u64,
 }
 
-impl PassCacheStats {
-    /// Stable JSON form for `--stats` and the cluster stats frame.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("hits", Json::count(self.hits)),
-            ("misses", Json::count(self.misses)),
-            ("inserts", Json::count(self.inserts)),
-            ("evictions", Json::count(self.evictions)),
-            ("entries", Json::count(self.entries)),
-            ("bytes", Json::count(self.bytes)),
-        ])
-    }
+hls_ir::json_struct! {
+    pub PassCacheStats { hits, misses, inserts, evictions, entries, bytes }
 }
 
 /// The in-memory content-addressed pass cache. Cheap to share: clone an

@@ -22,8 +22,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use hls_ir::diag::json_str;
-use hls_ir::{Diagnostic, Diagnostics, Expr, Function, Stmt};
+use hls_ir::json::Encode;
+use hls_ir::{Diagnostic, Diagnostics, Expr, Function, Json, Stmt};
 
 use crate::allocate::{allocate, Allocation};
 use crate::directives::Directives;
@@ -224,13 +224,8 @@ pub struct IrStats {
     pub fus: u32,
 }
 
-impl IrStats {
-    fn json_fields(&self) -> String {
-        format!(
-            "\"ops\":{},\"loops\":{},\"segments\":{},\"cells\":{},\"fus\":{}",
-            self.ops, self.loops, self.segments, self.cells, self.fus
-        )
-    }
+hls_ir::json_struct! {
+    impl IrStats { ops, loops, segments, cells, fus }
 }
 
 // ---------------------------------------------------------------------------
@@ -358,13 +353,13 @@ pub enum InvariantCheck {
     Cached,
 }
 
-impl InvariantCheck {
-    /// JSON value: `true`, `false`, or `"cached"`.
-    fn json_value(self) -> &'static str {
+/// `false`, `true`, or `"cached"`.
+impl Encode for InvariantCheck {
+    fn encode(&self) -> Json {
         match self {
-            InvariantCheck::NotRun => "false",
-            InvariantCheck::Checked => "true",
-            InvariantCheck::Cached => "\"cached\"",
+            InvariantCheck::NotRun => Json::Bool(false),
+            InvariantCheck::Checked => Json::Bool(true),
+            InvariantCheck::Cached => Json::str("cached"),
         }
     }
 }
@@ -422,36 +417,25 @@ pub struct PassTrace {
     pub cache: CacheActivity,
 }
 
+hls_ir::json_struct! {
+    impl CacheActivity { hits, misses, inserts }
+}
+
+hls_ir::json_struct! {
+    impl PassRecord {
+        pass, wall_ns, before, after, diagnostics, invariants_checked, memo_hit,
+    }
+}
+
+hls_ir::json_struct! {
+    impl PassTrace { design, total_ns, cache, passes }
+}
+
 impl PassTrace {
     /// Renders the trace as a JSON object (stable schema, documented in
     /// DESIGN.md under "Pipeline & diagnostics").
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!("\"design\":{}", json_str(&self.design)));
-        s.push_str(&format!(",\"total_ns\":{}", self.total_ns));
-        s.push_str(&format!(
-            ",\"cache\":{{\"hits\":{},\"misses\":{},\"inserts\":{}}}",
-            self.cache.hits, self.cache.misses, self.cache.inserts
-        ));
-        s.push_str(",\"passes\":[");
-        for (i, p) in self.passes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"pass\":{},\"wall_ns\":{},\"before\":{{{}}},\"after\":{{{}}},\
-                 \"diagnostics\":{},\"invariants_checked\":{},\"memo_hit\":{}}}",
-                json_str(&p.pass),
-                p.wall_ns,
-                p.before.json_fields(),
-                p.after.json_fields(),
-                p.diagnostics,
-                p.invariants_checked.json_value(),
-                p.memo_hit,
-            ));
-        }
-        s.push_str("]}");
-        s
+        self.encode().write()
     }
 
     /// Renders a human-readable per-pass report.

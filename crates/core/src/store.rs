@@ -66,6 +66,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::{Duration, SystemTime};
 
+use hls_ir::json::Named;
 use hls_ir::{stable_digest, Json};
 
 use crate::metrics::DesignMetrics;
@@ -145,40 +146,9 @@ pub struct NegativeEntry {
     pub diagnostics: Json,
 }
 
-impl NegativeEntry {
-    /// Serializes the failure body (the store wraps it in an envelope).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("design", Json::str(self.design.clone())),
-            ("code", Json::str(self.code.clone())),
-            ("error", Json::str(self.error.clone())),
-            ("diagnostics", self.diagnostics.clone()),
-        ])
-    }
-
-    /// Parses a failure body (the inverse of [`NegativeEntry::to_json`]).
-    pub fn from_json(v: &Json) -> Result<NegativeEntry, String> {
-        Ok(NegativeEntry {
-            design: v
-                .get("design")
-                .and_then(Json::as_str)
-                .ok_or("negative entry: missing design")?
-                .to_string(),
-            code: v
-                .get("code")
-                .and_then(Json::as_str)
-                .ok_or("negative entry: missing code")?
-                .to_string(),
-            error: v
-                .get("error")
-                .and_then(Json::as_str)
-                .ok_or("negative entry: missing error")?
-                .to_string(),
-            diagnostics: v
-                .get("diagnostics")
-                .cloned()
-                .unwrap_or(Json::Arr(Vec::new())),
-        })
+hls_ir::json_struct! {
+    pub NegativeEntry as "negative entry" {
+        design, code, error, diagnostics or Json::Arr(Vec::new()),
     }
 }
 
@@ -215,22 +185,22 @@ impl EntryKind {
 
     /// The kind's wire name (used by the cluster protocol).
     pub fn name(self) -> &'static str {
-        match self {
-            EntryKind::Positive => "positive",
-            EntryKind::Negative => "negative",
-            EntryKind::Proof => "proof",
-        }
+        Named::name(self)
     }
 
     /// Parses a wire name back into a kind. Proof entries have no wire
     /// form, so `"proof"` is refused.
     pub fn by_name(name: &str) -> Option<EntryKind> {
-        match name {
-            "positive" => Some(EntryKind::Positive),
-            "negative" => Some(EntryKind::Negative),
-            _ => None,
-        }
+        <EntryKind as Named>::by_name(name).filter(|k| *k != EntryKind::Proof)
     }
+}
+
+impl Named for EntryKind {
+    const NAMES: &'static [(EntryKind, &'static str)] = &[
+        (EntryKind::Positive, "positive"),
+        (EntryKind::Negative, "negative"),
+        (EntryKind::Proof, "proof"),
+    ];
 }
 
 /// Store tuning.
@@ -261,7 +231,7 @@ pub struct Verdict {
 
 /// One artifact as stored and served: everything the pipeline produced
 /// for a request, minus the request itself (the digest identifies it).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CachedArtifact {
     /// Design (module) name.
     pub design: String,
@@ -277,59 +247,14 @@ pub struct CachedArtifact {
     pub diagnostics: Json,
 }
 
-impl CachedArtifact {
-    fn to_json(&self) -> Json {
-        let verdict = match &self.verdict {
-            None => Json::Null,
-            Some(v) => Json::obj(vec![
-                ("passed", Json::Bool(v.passed)),
-                ("detail", Json::str(v.detail.clone())),
-            ]),
-        };
-        Json::obj(vec![
-            ("design", Json::str(self.design.clone())),
-            ("verilog", Json::str(self.verilog.clone())),
-            ("metrics", self.metrics.to_json()),
-            ("trace", self.trace.clone()),
-            ("verdict", verdict),
-            ("diagnostics", self.diagnostics.clone()),
-        ])
-    }
+hls_ir::json_struct! {
+    impl Verdict as "verdict" { passed, detail }
+}
 
-    fn from_json(v: &Json) -> Result<CachedArtifact, String> {
-        let verdict = match v.get("verdict") {
-            None | Some(Json::Null) => None,
-            Some(w) => Some(Verdict {
-                passed: w
-                    .get("passed")
-                    .and_then(Json::as_bool)
-                    .ok_or("entry: verdict missing passed")?,
-                detail: w
-                    .get("detail")
-                    .and_then(Json::as_str)
-                    .ok_or("entry: verdict missing detail")?
-                    .to_string(),
-            }),
-        };
-        Ok(CachedArtifact {
-            design: v
-                .get("design")
-                .and_then(Json::as_str)
-                .ok_or("entry: missing design")?
-                .to_string(),
-            verilog: v
-                .get("verilog")
-                .and_then(Json::as_str)
-                .ok_or("entry: missing verilog")?
-                .to_string(),
-            metrics: DesignMetrics::from_json(v.get("metrics").ok_or("entry: missing metrics")?)?,
-            trace: v.get("trace").cloned().unwrap_or(Json::Null),
-            verdict,
-            diagnostics: v
-                .get("diagnostics")
-                .cloned()
-                .unwrap_or(Json::Arr(Vec::new())),
-        })
+hls_ir::json_struct! {
+    CachedArtifact as "entry" {
+        design, verilog, metrics, trace or Json::Null, verdict,
+        diagnostics or Json::Arr(Vec::new()),
     }
 }
 
@@ -365,24 +290,10 @@ pub struct StoreStats {
     pub quarantined: u64,
 }
 
-impl StoreStats {
-    /// Serializes the counters for service reports.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("entries", Json::count(self.entries)),
-            ("bytes", Json::count(self.bytes)),
-            ("neg_entries", Json::count(self.neg_entries)),
-            ("neg_bytes", Json::count(self.neg_bytes)),
-            ("proof_entries", Json::count(self.proof_entries)),
-            ("proof_bytes", Json::count(self.proof_bytes)),
-            ("hits", Json::count(self.hits)),
-            ("misses", Json::count(self.misses)),
-            ("neg_hits", Json::count(self.neg_hits)),
-            ("inserts", Json::count(self.inserts)),
-            ("neg_inserts", Json::count(self.neg_inserts)),
-            ("evictions", Json::count(self.evictions)),
-            ("quarantined", Json::count(self.quarantined)),
-        ])
+hls_ir::json_struct! {
+    pub StoreStats {
+        entries, bytes, neg_entries, neg_bytes, proof_entries, proof_bytes, hits, misses,
+        neg_hits, inserts, neg_inserts, evictions, quarantined,
     }
 }
 

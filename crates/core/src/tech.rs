@@ -10,6 +10,9 @@
 
 use std::fmt;
 
+use hls_ir::json::{Decode, Encode, Named};
+use hls_ir::Json;
+
 /// Classes of hardware operators the scheduler allocates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OpClass {
@@ -68,27 +71,44 @@ impl OpClass {
     /// Parses a class back from its display name (the inverse of
     /// [`fmt::Display`]), for deserialized reports and directives.
     pub fn parse(name: &str) -> Option<OpClass> {
-        OpClass::ALL.into_iter().find(|c| c.to_string() == name)
+        OpClass::by_name(name)
+    }
+}
+
+impl Named for OpClass {
+    const NAMES: &'static [(OpClass, &'static str)] = &[
+        (OpClass::Add, "add"),
+        (OpClass::Mul, "mul"),
+        (OpClass::Cmp, "cmp"),
+        (OpClass::Mux, "mux"),
+        (OpClass::Shift, "shift"),
+        (OpClass::Neg, "neg"),
+        (OpClass::Sign, "sign"),
+        (OpClass::Cast, "cast"),
+        (OpClass::RegRead, "reg_read"),
+        (OpClass::RegWrite, "reg_write"),
+        (OpClass::MemRead, "mem_read"),
+        (OpClass::MemWrite, "mem_write"),
+    ];
+}
+
+/// A library travels as its built-in name.
+impl Encode for TechLibrary {
+    fn encode(&self) -> Json {
+        self.name().encode()
+    }
+}
+
+impl Decode for TechLibrary {
+    fn decode(v: &Json) -> Result<TechLibrary, String> {
+        let name = String::decode(v)?;
+        TechLibrary::by_name(&name).ok_or_else(|| format!("unknown library `{name}`"))
     }
 }
 
 impl fmt::Display for OpClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            OpClass::Add => "add",
-            OpClass::Mul => "mul",
-            OpClass::Cmp => "cmp",
-            OpClass::Mux => "mux",
-            OpClass::Shift => "shift",
-            OpClass::Neg => "neg",
-            OpClass::Sign => "sign",
-            OpClass::Cast => "cast",
-            OpClass::RegRead => "reg_read",
-            OpClass::RegWrite => "reg_write",
-            OpClass::MemRead => "mem_read",
-            OpClass::MemWrite => "mem_write",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 

@@ -11,6 +11,9 @@
 
 use std::fmt;
 
+use crate::json::{Encode, Named};
+use crate::Json;
+
 /// How bad a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -23,13 +26,17 @@ pub enum Severity {
     Error,
 }
 
+impl Named for Severity {
+    const NAMES: &'static [(Severity, &'static str)] = &[
+        (Severity::Note, "note"),
+        (Severity::Warning, "warning"),
+        (Severity::Error, "error"),
+    ];
+}
+
 impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Note => f.write_str("note"),
-            Severity::Warning => f.write_str("warning"),
-            Severity::Error => f.write_str("error"),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -69,6 +76,16 @@ impl fmt::Display for Anchor {
             Anchor::Var(v) => write!(f, "variable `{v}`"),
             Anchor::Op(o) => write!(f, "operation {o}"),
         }
+    }
+}
+
+/// `{"kind": .., "name": ..}`.
+impl Encode for Anchor {
+    fn encode(&self) -> Json {
+        Json::obj(vec![
+            ("kind", self.kind().encode()),
+            ("name", self.name().encode()),
+        ])
     }
 }
 
@@ -138,42 +155,28 @@ impl Diagnostic {
 
     /// Renders the diagnostic as one JSON object.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!(
-            "\"severity\":{}",
-            json_str(&self.severity.to_string())
-        ));
-        s.push_str(&format!(",\"code\":{}", json_str(self.code)));
+        self.encode().write()
+    }
+}
+
+/// The pass, anchors and notes are omitted while empty.
+impl Encode for Diagnostic {
+    fn encode(&self) -> Json {
+        let mut fields = vec![
+            ("severity", self.severity.encode()),
+            ("code", self.code.encode()),
+        ];
         if !self.pass.is_empty() {
-            s.push_str(&format!(",\"pass\":{}", json_str(&self.pass)));
+            fields.push(("pass", self.pass.encode()));
         }
-        s.push_str(&format!(",\"message\":{}", json_str(&self.message)));
+        fields.push(("message", self.message.encode()));
         if !self.anchors.is_empty() {
-            s.push_str(",\"anchors\":[");
-            for (i, a) in self.anchors.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"kind\":{},\"name\":{}}}",
-                    json_str(a.kind()),
-                    json_str(a.name())
-                ));
-            }
-            s.push(']');
+            fields.push(("anchors", self.anchors.encode()));
         }
         if !self.notes.is_empty() {
-            s.push_str(",\"notes\":[");
-            for (i, n) in self.notes.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&json_str(n));
-            }
-            s.push(']');
+            fields.push(("notes", self.notes.encode()));
         }
-        s.push('}');
-        s
+        Json::obj(fields)
     }
 }
 
@@ -255,15 +258,13 @@ impl Diagnostics {
 
     /// Renders all diagnostics as a JSON array.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("[");
-        for (i, d) in self.items.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&d.to_json());
-        }
-        s.push(']');
-        s
+        self.encode().write()
+    }
+}
+
+impl Encode for Diagnostics {
+    fn encode(&self) -> Json {
+        self.items.encode()
     }
 }
 

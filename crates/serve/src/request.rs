@@ -19,6 +19,7 @@
 //! every error names the request index and the offending field.
 
 use hls_core::{Directives, TechLibrary};
+use hls_ir::json::{field, field_or, Encode};
 use hls_ir::{parse_function, Function, Json};
 
 use std::collections::HashMap;
@@ -56,46 +57,30 @@ impl SynthesisRequest {
 
     /// Parses one request object.
     pub fn from_json(v: &Json) -> Result<SynthesisRequest, String> {
-        let source = v
-            .get("source")
-            .and_then(Json::as_str)
-            .ok_or("request: missing source")?
-            .to_string();
-        let library = match v.get("library") {
-            None => TechLibrary::asic_100mhz(),
-            Some(l) => {
-                let name = l.as_str().ok_or("request: library is not a string")?;
-                TechLibrary::by_name(name)
-                    .ok_or_else(|| format!("request: unknown library `{name}`"))?
-            }
-        };
-        let directives = match v.get("directives") {
-            None => Directives::new(library.nominal_clock_ns()),
-            Some(d) => Directives::from_json(d)?,
-        };
+        const L: &str = "request";
+        let library: TechLibrary = field_or(v, L, "library", TechLibrary::asic_100mhz)?;
         Ok(SynthesisRequest {
-            design: v
-                .get("design")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            source,
-            directives,
+            design: field_or(v, L, "design", String::new)?,
+            source: field(v, L, "source")?,
+            directives: field_or(v, L, "directives", || {
+                Directives::new(library.nominal_clock_ns())
+            })?,
+            verify: field_or(v, L, "verify", || false)?,
             library,
-            verify: v.get("verify").and_then(Json::as_bool).unwrap_or(false),
         })
     }
 
-    /// Serializes the request (the inverse of [`SynthesisRequest::from_json`]).
+    /// Serializes the request (the inverse of [`SynthesisRequest::from_json`]);
+    /// an empty label is omitted.
     pub fn to_json(&self) -> Json {
         let mut fields = Vec::new();
         if !self.design.is_empty() {
-            fields.push(("design", Json::str(self.design.clone())));
+            fields.push(("design", self.design.encode()));
         }
-        fields.push(("source", Json::str(self.source.clone())));
-        fields.push(("directives", self.directives.to_json()));
-        fields.push(("library", Json::str(self.library.name())));
-        fields.push(("verify", Json::Bool(self.verify)));
+        fields.push(("source", self.source.encode()));
+        fields.push(("directives", self.directives.encode()));
+        fields.push(("library", self.library.encode()));
+        fields.push(("verify", self.verify.encode()));
         Json::obj(fields)
     }
 
@@ -142,10 +127,8 @@ pub fn prepare_batch(requests: &[SynthesisRequest]) -> Vec<Prepared> {
 /// [`parse_batch`] accepts, used when a cluster shard forwards a
 /// sub-batch to the digest's owner.
 pub fn batch_to_json(requests: &[SynthesisRequest]) -> Json {
-    Json::obj(vec![(
-        "requests",
-        Json::Arr(requests.iter().map(SynthesisRequest::to_json).collect()),
-    )])
+    let requests = requests.iter().map(SynthesisRequest::to_json).collect();
+    Json::obj(vec![("requests", Json::Arr(requests))])
 }
 
 /// Parses a batch: `{"requests": [...]}`, a bare array, or one object.
@@ -203,6 +186,47 @@ mod tests {
         assert_eq!(parse_batch(&one).unwrap().len(), 1);
         let arr = Json::Arr(vec![SynthesisRequest::new(SRC).to_json()]).write();
         assert_eq!(parse_batch(&arr).unwrap().len(), 1);
+    }
+
+    mod sampled {
+        use super::*;
+        use hls_core::Unroll;
+        use proptest::prelude::*;
+        use proptest::prop::sample::select;
+
+        fn request() -> BoxedStrategy<SynthesisRequest> {
+            let library = select(vec!["asic_100mhz", "fpga_slow"]);
+            (
+                ("[a-z_]{0,6}", "[a-z(){};= \"\\\\\n]{0,24}"),
+                (1e-3..1e3f64, 0u32..5),
+                (library, any::<bool>()),
+            )
+                .prop_map(|((design, source), (clock, unroll), (library, verify))| {
+                    SynthesisRequest {
+                        design,
+                        source,
+                        directives: Directives::new(clock).unroll("l", Unroll::Factor(unroll)),
+                        library: TechLibrary::by_name(library).unwrap(),
+                        verify,
+                    }
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn requests_round_trip_through_a_batch(req in request()) {
+                let text = batch_to_json(std::slice::from_ref(&req)).write();
+                let back = parse_batch(&text).unwrap().pop().unwrap();
+                prop_assert_eq!(&back.design, &req.design);
+                prop_assert_eq!(&back.source, &req.source);
+                prop_assert_eq!(&back.directives, &req.directives);
+                prop_assert_eq!(back.library.name(), req.library.name());
+                prop_assert_eq!(back.verify, req.verify);
+                prop_assert_eq!(batch_to_json(&[back]).write(), text);
+            }
+        }
     }
 
     #[test]

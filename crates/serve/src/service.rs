@@ -54,6 +54,7 @@ use hls_core::{
     apply_loop_transforms, lower_bound, DesignBound, Diagnostic, Diagnostics, ExploreBudget,
     PassCache, PassCacheStats, PipelineConfig,
 };
+use hls_ir::json::Encode;
 use hls_ir::{Function, Json};
 use hls_verify::{verify_equiv, verify_equiv_cached, ProofCache, ProofCacheStats};
 use rtl::compile_traced;
@@ -156,18 +157,8 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<u64>,
 }
 
-impl HistogramSnapshot {
-    /// Serializes the histogram.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("count", Json::count(self.count)),
-            ("total_us", Json::count(self.total_us)),
-            (
-                "buckets",
-                Json::Arr(self.buckets.iter().map(|&b| Json::count(b)).collect()),
-            ),
-        ])
-    }
+hls_ir::json_struct! {
+    pub HistogramSnapshot { count, total_us, buckets }
 }
 
 /// Per-batch observability counters.
@@ -206,35 +197,30 @@ pub struct CountersSnapshot {
 }
 
 impl CountersSnapshot {
-    /// Serializes the counters.
+    /// Serializes the counters; the cache censuses only when present.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
-            ("hits", Json::count(self.hits)),
-            ("misses", Json::count(self.misses)),
-            ("synthesized", Json::count(self.synthesized)),
-            ("deduped", Json::count(self.deduped)),
-            ("rejected", Json::count(self.rejected)),
-            ("errors", Json::count(self.errors)),
-            ("neg_hits", Json::count(self.neg_hits)),
-            ("neg_inserts", Json::count(self.neg_inserts)),
-            ("queue_peak", Json::count(self.queue_peak)),
-            ("lookup_us", self.lookup_us.to_json()),
-            ("synth_us", self.synth_us.to_json()),
-            ("verify_us", self.verify_us.to_json()),
-            ("insert_us", self.insert_us.to_json()),
+            ("hits", self.hits.encode()),
+            ("misses", self.misses.encode()),
+            ("synthesized", self.synthesized.encode()),
+            ("deduped", self.deduped.encode()),
+            ("rejected", self.rejected.encode()),
+            ("errors", self.errors.encode()),
+            ("neg_hits", self.neg_hits.encode()),
+            ("neg_inserts", self.neg_inserts.encode()),
+            ("queue_peak", self.queue_peak.encode()),
+            ("lookup_us", self.lookup_us.encode()),
+            ("synth_us", self.synth_us.encode()),
+            ("verify_us", self.verify_us.encode()),
+            ("insert_us", self.insert_us.encode()),
         ];
         if let Some(pc) = &self.pass_cache {
-            fields.push(("pass_cache", pc.to_json()));
+            fields.push(("pass_cache", pc.encode()));
         }
         if let Some(pc) = &self.proof_cache {
-            fields.push(("proof_cache", pc.to_json()));
+            fields.push(("proof_cache", pc.encode()));
         }
-        Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
+        Json::obj(fields)
     }
 }
 
@@ -296,13 +282,15 @@ impl RequestOutcome {
         }
     }
 
-    /// Serializes the outcome as a response envelope.
+    /// Serializes the outcome as a response envelope: flags only when
+    /// set, a failure's code and diagnostics, and a served artifact's
+    /// fields inline.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
-            ("design", Json::str(self.design.clone())),
-            ("digest", Json::str(self.digest.clone())),
-            ("cache_hit", Json::Bool(self.cache_hit)),
-            ("deduped", Json::Bool(self.deduped)),
+            ("design", self.design.encode()),
+            ("digest", self.digest.encode()),
+            ("cache_hit", self.cache_hit.encode()),
+            ("deduped", self.deduped.encode()),
         ];
         if self.rejected {
             fields.push(("rejected", Json::Bool(true)));
@@ -311,34 +299,24 @@ impl RequestOutcome {
             fields.push(("negative_hit", Json::Bool(true)));
         }
         if let Some(f) = &self.failure {
-            fields.push(("failure_code", Json::str(f.code.clone())));
-            fields.push(("diagnostics", f.diagnostics.clone()));
+            fields.push(("failure_code", f.code.encode()));
+            fields.push(("diagnostics", f.diagnostics.encode()));
         }
         if let Some(cost) = self.modeled_cost_ns {
-            fields.push(("modeled_cost_ns", Json::count(cost)));
+            fields.push(("modeled_cost_ns", cost.encode()));
         }
         if let Some(d) = &self.diagnostics {
-            fields.push((
-                "diagnostics",
-                Json::parse(&d.to_json()).unwrap_or(Json::Arr(Vec::new())),
-            ));
+            fields.push(("diagnostics", d.encode()));
         }
         if let Some(a) = &self.artifact {
-            let verdict = match &a.verdict {
-                None => Json::Null,
-                Some(v) => Json::obj(vec![
-                    ("passed", Json::Bool(v.passed)),
-                    ("detail", Json::str(v.detail.clone())),
-                ]),
-            };
-            fields.push(("verilog", Json::str(a.verilog.clone())));
-            fields.push(("metrics", a.metrics.to_json()));
-            fields.push(("verdict", verdict));
-            fields.push(("diagnostics", a.diagnostics.clone()));
-            fields.push(("trace", a.trace.clone()));
+            fields.push(("verilog", a.verilog.encode()));
+            fields.push(("metrics", a.metrics.encode()));
+            fields.push(("verdict", a.verdict.encode()));
+            fields.push(("diagnostics", a.diagnostics.encode()));
+            fields.push(("trace", a.trace.encode()));
         }
         if let Some(e) = &self.error {
-            fields.push(("error", Json::str(e.clone())));
+            fields.push(("error", e.encode()));
         }
         Json::obj(fields)
     }
@@ -685,8 +663,7 @@ fn synthesize_job(
                 design: design.clone(),
                 code: e.code().to_string(),
                 error: e.to_string(),
-                diagnostics: Json::parse(&run.diagnostics.to_json())
-                    .unwrap_or(Json::Arr(Vec::new())),
+                diagnostics: run.diagnostics.encode(),
             };
             let mut outcome =
                 RequestOutcome::failed(&design, &job.key.digest, format!("synthesis: {e}"));
@@ -723,9 +700,9 @@ fn synthesize_job(
         design,
         verilog: artifacts.verilog,
         metrics: artifacts.synthesis.metrics,
-        trace: Json::parse(&run.trace.to_json()).unwrap_or(Json::Null),
+        trace: run.trace.encode(),
         verdict,
-        diagnostics: Json::parse(&run.diagnostics.to_json()).unwrap_or(Json::Arr(Vec::new())),
+        diagnostics: run.diagnostics.encode(),
     };
     let t = Instant::now();
     let insert = store.insert(job.key, &artifact);

@@ -5,8 +5,12 @@
 use std::fs;
 use std::path::PathBuf;
 
-use hls_core::ExploreBudget;
-use hls_serve::{serve_batch, ArtifactStore, ServiceConfig, StoreConfig, SynthesisRequest};
+use hls_core::{ExploreBudget, Unroll};
+use hls_ir::Json;
+use hls_serve::{
+    batch_from_json, prepare_batch, serve_batch, ArtifactStore, ServiceConfig, StoreConfig,
+    SynthesisRequest,
+};
 use qam_decoder::{table1_architectures, table1_library, QAM_DECODER_SOURCE};
 
 fn scratch(tag: &str) -> PathBuf {
@@ -250,4 +254,77 @@ fn deterministic_failures_are_negative_cached() {
     assert!(ok.outcomes[0].artifact.is_some());
     assert!(!ok.outcomes[0].negative_hit);
     let _ = fs::remove_dir_all(&root);
+}
+
+/// `SUM`'s request as JSON, with `edit` applied to its directives.
+fn sum_request_with(edit: impl FnOnce(&mut Vec<(String, Json)>)) -> Json {
+    let mut request = SynthesisRequest::new(SUM).to_json();
+    let Json::Obj(fields) = &mut request else {
+        unreachable!("a request is an object")
+    };
+    let (_, directives) = fields.iter_mut().find(|(k, _)| k == "directives").unwrap();
+    let Json::Obj(directives) = directives else {
+        unreachable!("directives are an object")
+    };
+    edit(directives);
+    request
+}
+
+fn set(fields: &mut Vec<(String, Json)>, key: &str, value: &str) {
+    let value = Json::parse(value).unwrap();
+    match fields.iter_mut().find(|(k, _)| k == key) {
+        Some((_, v)) => *v = value,
+        None => fields.push((key.to_string(), value)),
+    }
+}
+
+#[test]
+fn out_of_range_integers_are_rejected_not_wrapped() {
+    // An unroll factor of 2^32 + 2 used to decode as 2: the request got
+    // unroll 2's digest and was served unroll 2's artifact.
+    let unroll2 = SynthesisRequest {
+        directives: SynthesisRequest::new(SUM)
+            .directives
+            .unroll("sum_loop", Unroll::Factor(2)),
+        ..SynthesisRequest::new(SUM)
+    };
+    let (_, unroll2_key) = prepare_batch(&[unroll2]).pop().unwrap().unwrap();
+    let wide = sum_request_with(|d| set(d, "loops", r#"{"sum_loop": {"unroll": 4294967298}}"#));
+    let parsed = batch_from_json(&wide);
+    if let Ok(requests) = &parsed {
+        let (_, key) = prepare_batch(requests).pop().unwrap().unwrap();
+        assert_ne!(key.digest, unroll2_key.digest, "decoded as unroll 2");
+    }
+    let err = parsed.unwrap_err();
+    assert!(err.contains("unroll"), "{err}");
+
+    // A FIFO depth of 2^32 used to pass the `>= 1` check and become 0.
+    let deep = sum_request_with(|d| set(d, "stream", r#"{"fifo_depth": 4294967296}"#));
+    let err = batch_from_json(&deep).unwrap_err();
+    assert!(err.contains("fifo_depth"), "{err}");
+
+    // Every other narrowed integer the directives carry.
+    for (key, value, field) in [
+        (
+            "loops",
+            r#"{"sum_loop": {"pipeline_ii": 4294967297}}"#,
+            "pipeline_ii",
+        ),
+        ("fu_limits", r#"{"mul": 4294967296}"#, "fu_limits"),
+        (
+            "arrays",
+            r#"{"x": {"read_ports": 4294967297, "write_ports": 1}}"#,
+            "read_ports",
+        ),
+        (
+            "arrays",
+            r#"{"x": {"read_ports": 1, "write_ports": 4294967297}}"#,
+            "write_ports",
+        ),
+        ("loops", r#"{"sum_loop": {"unroll": -1}}"#, "unroll"),
+        ("loops", r#"{"sum_loop": {"unroll": 2.5}}"#, "unroll"),
+    ] {
+        let err = batch_from_json(&sum_request_with(|d| set(d, key, value))).unwrap_err();
+        assert!(err.contains(field), "{key} = {value}: {err}");
+    }
 }

@@ -10,7 +10,7 @@
 //! [`publish`]), and [`load_counterexamples`] reads every fixture back
 //! for replay through [`crate::fuzz::replay_stimulus`].
 //!
-//! A fixture is self-describing JSON: every [`Fixed`] travels as its raw
+//! A fixture is self-describing JSON: every [`fixpt::Fixed`] travels as its raw
 //! mantissa (a string — mantissas exceed `f64` precision) plus its full
 //! format, so replay is bit-exact across processes.
 
@@ -18,9 +18,9 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use fixpt::{Fixed, Format, Signedness};
 use hls_core::store::publish;
-use hls_ir::{json::stable_digest, Json, Slot, VarId};
+use hls_ir::json::{field, stable_digest, Decode, Encode};
+use hls_ir::Json;
 
 use crate::fuzz::{FuzzCex, Stimulus};
 
@@ -42,68 +42,8 @@ pub struct CexFixture {
     pub digest: String,
 }
 
-fn fixed_to_json(x: &Fixed) -> Json {
-    let f = x.format();
-    Json::obj(vec![
-        ("raw", Json::str(x.raw().to_string())),
-        ("width", Json::count(f.width() as u64)),
-        ("int_bits", Json::Num(f.int_bits() as f64)),
-        ("signed", Json::Bool(f.is_signed())),
-    ])
-}
-
-fn fixed_from_json(v: &Json) -> Result<Fixed, String> {
-    let raw: i128 = v
-        .get("raw")
-        .and_then(Json::as_str)
-        .ok_or("fixture: missing raw")?
-        .parse()
-        .map_err(|e| format!("fixture: bad raw mantissa: {e}"))?;
-    let width = v
-        .get("width")
-        .and_then(Json::as_u64)
-        .ok_or("fixture: missing width")? as u32;
-    let int_bits = v
-        .get("int_bits")
-        .and_then(Json::as_i64)
-        .ok_or("fixture: missing int_bits")? as i32;
-    let signedness = if v
-        .get("signed")
-        .and_then(Json::as_bool)
-        .ok_or("fixture: missing signed")?
-    {
-        Signedness::Signed
-    } else {
-        Signedness::Unsigned
-    };
-    let format = Format::new(width, int_bits, signedness)
-        .map_err(|e| format!("fixture: bad format: {e:?}"))?;
-    Fixed::from_raw(raw, format).map_err(|_| "fixture: raw out of format range".to_string())
-}
-
-fn slot_to_json(slot: &Slot) -> Json {
-    match slot {
-        Slot::Scalar(x) => Json::obj(vec![("scalar", fixed_to_json(x))]),
-        Slot::Array(xs) => Json::obj(vec![(
-            "array",
-            Json::Arr(xs.iter().map(fixed_to_json).collect()),
-        )]),
-    }
-}
-
-fn slot_from_json(v: &Json) -> Result<Slot, String> {
-    if let Some(x) = v.get("scalar") {
-        return Ok(Slot::Scalar(fixed_from_json(x)?));
-    }
-    if let Some(xs) = v.get("array").and_then(Json::as_arr) {
-        return Ok(Slot::Array(
-            xs.iter().map(fixed_from_json).collect::<Result<_, _>>()?,
-        ));
-    }
-    Err("fixture: slot is neither scalar nor array".to_string())
-}
-
-/// Serializes a stimulus (shared with `hls-serve` response envelopes).
+/// Serializes a stimulus (shared with `hls-serve` response envelopes):
+/// one array per call of `{"var": index, "slot": value}` bindings.
 pub fn stimulus_to_json(stim: &Stimulus) -> Json {
     Json::Arr(
         stim.iter()
@@ -111,10 +51,7 @@ pub fn stimulus_to_json(stim: &Stimulus) -> Json {
                 Json::Arr(
                     call.iter()
                         .map(|(var, slot)| {
-                            Json::obj(vec![
-                                ("var", Json::size(var.index())),
-                                ("slot", slot_to_json(slot)),
-                            ])
+                            Json::obj(vec![("var", var.encode()), ("slot", slot.encode())])
                         })
                         .collect(),
                 )
@@ -125,32 +62,23 @@ pub fn stimulus_to_json(stim: &Stimulus) -> Json {
 
 /// Deserializes a stimulus written by [`stimulus_to_json`].
 pub fn stimulus_from_json(v: &Json) -> Result<Stimulus, String> {
-    v.as_arr()
-        .ok_or("fixture: stimulus is not an array")?
+    let calls: Vec<Vec<Json>> = Decode::decode(v).map_err(|e| format!("fixture: {e}"))?;
+    calls
         .iter()
         .map(|call| {
-            call.as_arr()
-                .ok_or("fixture: call is not an array")?
-                .iter()
-                .map(|binding| {
-                    let var = binding
-                        .get("var")
-                        .and_then(Json::as_u64)
-                        .ok_or("fixture: missing var")?;
-                    let slot = slot_from_json(binding.get("slot").ok_or("fixture: missing slot")?)?;
-                    Ok((VarId::from_raw(var as u32), slot))
-                })
-                .collect::<Result<Vec<_>, String>>()
+            call.iter()
+                .map(|b| Ok((field(b, "fixture", "var")?, field(b, "fixture", "slot")?)))
+                .collect()
         })
         .collect()
 }
 
 fn fixture_body(design: &str, cex: &FuzzCex) -> Json {
     Json::obj(vec![
-        ("schema", Json::str(CEX_SCHEMA)),
-        ("design", Json::str(design)),
-        ("failing_call", Json::size(cex.failing_call)),
-        ("message", Json::str(cex.message.clone())),
+        ("schema", CEX_SCHEMA.encode()),
+        ("design", design.encode()),
+        ("failing_call", cex.failing_call.encode()),
+        ("message", cex.message.encode()),
         ("stimulus", stimulus_to_json(&cex.stimulus)),
     ])
 }
@@ -204,13 +132,13 @@ pub fn load_counterexamples(root: &Path) -> Vec<CexFixture> {
 
 fn parse_fixture(text: &str) -> Option<CexFixture> {
     let v = Json::parse(text).ok()?;
-    if v.get("schema")?.as_str()? != CEX_SCHEMA {
+    if field::<String>(&v, "fixture", "schema").ok()? != CEX_SCHEMA {
         return None;
     }
     Some(CexFixture {
-        design: v.get("design")?.as_str()?.to_string(),
-        failing_call: v.get("failing_call")?.as_u64()? as usize,
-        message: v.get("message")?.as_str()?.to_string(),
+        design: field(&v, "fixture", "design").ok()?,
+        failing_call: field(&v, "fixture", "failing_call").ok()?,
+        message: field(&v, "fixture", "message").ok()?,
         stimulus: stimulus_from_json(v.get("stimulus")?).ok()?,
         digest: stable_digest(text.as_bytes()),
     })
@@ -219,6 +147,8 @@ fn parse_fixture(text: &str) -> Option<CexFixture> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fixpt::{Fixed, Format};
+    use hls_ir::{Slot, VarId};
 
     fn sample_cex() -> FuzzCex {
         let fmt = Format::signed(10, 2);
@@ -244,6 +174,59 @@ mod tests {
         let json = stimulus_to_json(&cex.stimulus);
         let back = stimulus_from_json(&Json::parse(&json.write()).unwrap()).unwrap();
         assert_eq!(back, cex.stimulus);
+    }
+
+    mod sampled {
+        use super::*;
+        use fixpt::{Signedness, MAX_WIDTH};
+        use proptest::prelude::*;
+        use proptest::prop::collection::vec;
+
+        /// Any fixed-point value: every width, both signednesses, integer
+        /// bits beyond the width, and raw mantissas across the range.
+        fn fixed() -> BoxedStrategy<Fixed> {
+            (
+                1..=MAX_WIDTH,
+                -70i32..70,
+                any::<bool>(),
+                any::<i64>(),
+                any::<bool>(),
+            )
+                .prop_map(|(width, int_bits, signed, raw, wide)| {
+                    let s = if signed {
+                        Signedness::Signed
+                    } else {
+                        Signedness::Unsigned
+                    };
+                    let format = Format::new(width, int_bits, s).unwrap();
+                    let raw = if wide { raw as i128 * 3 } else { raw as i128 };
+                    Fixed::from_raw_wrapped(raw, format)
+                })
+        }
+
+        fn slot() -> BoxedStrategy<Slot> {
+            prop_oneof![
+                fixed().prop_map(Slot::Scalar),
+                vec(fixed(), 0..4).prop_map(Slot::Array),
+            ]
+        }
+
+        fn stimulus() -> BoxedStrategy<Stimulus> {
+            let binding = (any::<u32>(), slot()).prop_map(|(v, s)| (VarId::from_raw(v), s));
+            vec(vec(binding, 0..3), 0..3)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn stimuli_round_trip_through_text(stim in stimulus()) {
+                let text = stimulus_to_json(&stim).write();
+                let back = stimulus_from_json(&Json::parse(&text).unwrap()).unwrap();
+                prop_assert_eq!(&back, &stim);
+                prop_assert_eq!(stimulus_to_json(&back).write(), text);
+            }
+        }
     }
 
     #[test]

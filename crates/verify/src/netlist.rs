@@ -24,7 +24,7 @@ use hls_core::{Lowered, NetlistObligation, Segment};
 use crate::equiv::{bit_blast, Obligation, ProofCex, ProofMethod, ProveOptions, ProveVerdict};
 use crate::fsmd_exec::{eval_node, FsmdState};
 use crate::fuzz::{random_fixed, SplitMix64};
-use crate::proofcache::{obligation_key, ProofCache};
+use crate::proofcache::ProofCache;
 use crate::state::{ExecResult, Unsupported};
 use crate::sym::{bool_format, Evaluator, SymId, SymTable};
 
@@ -35,31 +35,16 @@ pub fn check_netlist_obligations(
     obligations: &[NetlistObligation],
     opts: &ProveOptions,
 ) -> Vec<ProveVerdict> {
-    check_netlist_obligations_cached(obligations, opts, None)
+    check_netlist_obligations_keyed(obligations, None, opts, None, None)
 }
 
-/// [`check_netlist_obligations`] through an optional
-/// [`ProofCache`]: each obligation's verdict is replayed when its
-/// content key hits and recorded when it was freshly proved. Verdict
-/// order matches the obligation order either way, and a cached verdict
-/// is byte-identical to recomputation (the key covers the exact proof
-/// inputs, including the pass name and blast budget).
-pub fn check_netlist_obligations_cached(
-    obligations: &[NetlistObligation],
-    opts: &ProveOptions,
-    cache: Option<&ProofCache>,
-) -> Vec<ProveVerdict> {
-    let keys: Option<Vec<String>> = cache.map(|_| {
-        obligations
-            .iter()
-            .map(|ob| obligation_key(ob, opts))
-            .collect()
-    });
-    check_netlist_obligations_keyed(obligations, keys.as_deref(), opts, None, cache)
-}
-
-/// [`check_netlist_obligations_cached`] with the content keys supplied
-/// by the caller.
+/// [`check_netlist_obligations`] through an optional [`ProofCache`],
+/// with the content keys supplied by the caller: each obligation's
+/// verdict is replayed when its key hits and recorded when it was
+/// freshly proved. Verdict order matches the obligation order either
+/// way, and a cached verdict is byte-identical to recomputation (the key
+/// covers the exact proof inputs, including the pass name and blast
+/// budget).
 ///
 /// Deriving a key serializes both sides of the obligation — often more
 /// work than replaying the verdict it looks up. A sweep that memoizes
@@ -73,6 +58,7 @@ pub fn check_netlist_obligations_cached(
 /// misaligned key is a soundness bug on the caller. With `keys` `None`
 /// (or no cache), every obligation is proved directly.
 ///
+/// [`obligation_key`]: crate::proofcache::obligation_key
 /// [`obligation_key_tagged`]: crate::proofcache::obligation_key_tagged
 pub fn check_netlist_obligations_keyed(
     obligations: &[NetlistObligation],
@@ -470,7 +456,7 @@ fn unknown_all(func: &hls_ir::Function, reason: String) -> ProveVerdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proofcache::obligation_key_tagged;
+    use crate::proofcache::{obligation_key, obligation_key_tagged};
     use hls_core::{lower, optimize_lowered, Directives, NetlistOptConfig, TechLibrary};
     use hls_ir::parse_function;
 

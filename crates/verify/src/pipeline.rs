@@ -427,108 +427,69 @@ pub struct EquivGate;
 
 impl PassHook for EquivGate {
     fn after_pass(&self, pass: &str, state: &PipelineState, diags: &mut Diagnostics) {
-        gate_after_pass(pass, state, diags, None);
-    }
-}
-
-/// [`EquivGate`] with a shared [`ProofCache`]: identical gating
-/// semantics and byte-identical diagnostics, but netlist obligations
-/// and the end-to-end FSMD proof replay cached verdicts — across
-/// repeated synthesis runs, serve requests and (with a persistent
-/// cache) daemon restarts.
-#[derive(Debug, Clone)]
-pub struct CachedEquivGate {
-    cache: Arc<ProofCache>,
-}
-
-impl CachedEquivGate {
-    /// A gate sharing `cache`.
-    pub fn new(cache: Arc<ProofCache>) -> CachedEquivGate {
-        CachedEquivGate { cache }
-    }
-}
-
-impl PassHook for CachedEquivGate {
-    fn after_pass(&self, pass: &str, state: &PipelineState, diags: &mut Diagnostics) {
-        gate_after_pass(pass, state, diags, Some(&self.cache));
-    }
-}
-
-/// Shared body of the cached and uncached gates.
-fn gate_after_pass(
-    pass: &str,
-    state: &PipelineState,
-    diags: &mut Diagnostics,
-    cache: Option<&ProofCache>,
-) {
-    {
         if pass == "netlist-opt" {
-            let obligations = state
-                .artifact::<std::sync::Arc<Vec<hls_core::NetlistObligation>>>("netlist-obligations")
-                .map(|obs| obs.as_slice())
-                .unwrap_or_default();
-            if obligations.is_empty() {
-                return;
-            }
-            let opts = ProveOptions::default();
-            let mut proved = 0usize;
-            let mut unknown: Vec<String> = Vec::new();
-            for (ob, verdict) in obligations
-                .iter()
-                .zip(crate::check_netlist_obligations_cached(
-                    obligations,
-                    &opts,
-                    cache,
-                ))
-            {
-                match verdict {
-                    ProveVerdict::Proved { .. } => proved += 1,
-                    ProveVerdict::Disproved(cex) => {
-                        diags.push(Diagnostic::error(
-                            "netlist-equiv-failed",
-                            format!(
-                                "pass {} broke observable {} (ir={}, rtl={})",
-                                ob.pass, cex.observable, cex.ir_value, cex.rtl_value
-                            ),
-                        ));
-                        return;
-                    }
-                    ProveVerdict::Unknown { reason, .. } => unknown.push(reason),
-                }
-            }
-            if unknown.is_empty() {
-                diags.push(Diagnostic::note(
-                    "netlist-equiv-ok",
-                    format!("{proved} netlist rewrite obligation(s) proved"),
-                ));
-            } else {
-                diags.push(Diagnostic::warning(
-                    "netlist-equiv-unknown",
+            gate_netlist_obligations(state, diags);
+        } else if pass == "metrics" {
+            gate_end_to_end(state, diags);
+        }
+    }
+}
+
+/// Discharges the netlist optimizer's rewrite obligations.
+fn gate_netlist_obligations(state: &PipelineState, diags: &mut Diagnostics) {
+    let obligations = state
+        .artifact::<Arc<Vec<hls_core::NetlistObligation>>>("netlist-obligations")
+        .map(|obs| obs.as_slice())
+        .unwrap_or_default();
+    if obligations.is_empty() {
+        return;
+    }
+    let mut proved = 0usize;
+    let mut unknown: Vec<String> = Vec::new();
+    let verdicts = crate::check_netlist_obligations(obligations, &ProveOptions::default());
+    for (ob, verdict) in obligations.iter().zip(verdicts) {
+        match verdict {
+            ProveVerdict::Proved { .. } => proved += 1,
+            ProveVerdict::Disproved(cex) => {
+                diags.push(Diagnostic::error(
+                    "netlist-equiv-failed",
                     format!(
-                        "{proved} proved, {} undecided ({}); end-to-end gate still applies",
-                        unknown.len(),
-                        unknown.join("; ")
+                        "pass {} broke observable {} (ir={}, rtl={})",
+                        ob.pass, cex.observable, cex.ir_value, cex.rtl_value
                     ),
                 ));
+                return;
             }
-            return;
+            ProveVerdict::Unknown { reason, .. } => unknown.push(reason),
         }
-        if pass != "metrics" {
-            return;
-        }
-        let Some(result) = state.to_result() else {
-            return;
-        };
-        let fsmd = Fsmd::from_synthesis(&result);
-        let report = match cache {
-            Some(cache) => verify_equiv_cached(&fsmd, cache),
-            None => verify_equiv(&fsmd),
-        };
-        if report.passed() {
-            diags.push(Diagnostic::note("equiv-ok", report.describe()));
-        } else {
-            diags.push(Diagnostic::error("equiv-failed", report.describe()));
-        }
+    }
+    if unknown.is_empty() {
+        diags.push(Diagnostic::note(
+            "netlist-equiv-ok",
+            format!("{proved} netlist rewrite obligation(s) proved"),
+        ));
+    } else {
+        diags.push(Diagnostic::warning(
+            "netlist-equiv-unknown",
+            format!(
+                "{proved} proved, {} undecided ({}); end-to-end gate still applies",
+                unknown.len(),
+                unknown.join("; ")
+            ),
+        ));
+    }
+}
+
+/// Proves the finished design's FSMD against its untimed source.
+fn gate_end_to_end(state: &PipelineState, diags: &mut Diagnostics) {
+    let Some(result) = state.to_result() else {
+        return;
+    };
+    let report = verify_equiv(&Fsmd::from_synthesis(&result));
+    if report.passed() {
+        diags.push(Diagnostic::note("equiv-ok", report.describe()));
+    } else {
+        diags.push(Diagnostic::error("equiv-failed", report.describe()));
     }
 }
 

@@ -47,6 +47,7 @@ use std::sync::Mutex;
 
 use hls_core::store::{ArtifactStore, RequestKey, StoreConfig};
 use hls_core::NetlistObligation;
+use hls_ir::json::{field, Encode};
 use hls_ir::{stable_digest, Json};
 use rtl::Fsmd;
 
@@ -137,19 +138,10 @@ pub struct ProofCacheStats {
     pub fsmd_entries: u64,
 }
 
-impl ProofCacheStats {
-    /// Serializes the counters for stats surfaces.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("hits", Json::count(self.hits)),
-            ("misses", Json::count(self.misses)),
-            ("inserts", Json::count(self.inserts)),
-            ("persist_hits", Json::count(self.persist_hits)),
-            ("persist_quarantined", Json::count(self.persist_quarantined)),
-            ("downgrades", Json::count(self.downgrades)),
-            ("obligation_entries", Json::count(self.obligation_entries)),
-            ("fsmd_entries", Json::count(self.fsmd_entries)),
-        ])
+hls_ir::json_struct! {
+    pub ProofCacheStats {
+        hits, misses, inserts, persist_hits, persist_quarantined, downgrades, obligation_entries,
+        fsmd_entries,
     }
 }
 
@@ -307,39 +299,36 @@ fn encode_obligation(verdict: &ProveVerdict) -> Option<Json> {
     let items = obligations
         .iter()
         .map(|ob| match ob.method {
-            ProofMethod::Canonical => Json::Arr(vec![Json::str(ob.name.clone()), Json::str("c")]),
-            ProofMethod::BitBlast { points } => Json::Arr(vec![
-                Json::str(ob.name.clone()),
-                Json::str("b"),
-                Json::str(points.to_string()),
-            ]),
+            ProofMethod::Canonical => vec![ob.name.clone(), "c".to_string()],
+            ProofMethod::BitBlast { points } => {
+                vec![ob.name.clone(), "b".to_string(), points.to_string()]
+            }
         })
-        .collect();
+        .collect::<Vec<_>>();
     Some(Json::obj(vec![
-        ("stage", Json::str("obligation")),
-        ("sym_nodes", Json::size(*sym_nodes)),
-        ("obligations", Json::Arr(items)),
+        ("stage", "obligation".encode()),
+        ("sym_nodes", sym_nodes.encode()),
+        ("obligations", items.encode()),
     ]))
 }
 
 /// Total-but-unforgiving decoder: only ever constructs `Proved`
 /// verdicts, and any malformation reads as a miss.
 fn decode_obligation(body: &Json) -> Option<ProveVerdict> {
-    if body.get("stage")?.as_str()? != "obligation" {
+    if field::<String>(body, "proof", "stage").ok()? != "obligation" {
         return None;
     }
-    let sym_nodes = body.get("sym_nodes")?.as_u64()? as usize;
+    let sym_nodes = field(body, "proof", "sym_nodes").ok()?;
     let mut obligations = Vec::new();
-    for item in body.get("obligations")?.as_arr()? {
-        let fields = item.as_arr()?;
-        let name = fields.first()?.as_str()?.to_string();
-        let method = match fields.get(1)?.as_str()? {
-            "c" if fields.len() == 2 => ProofMethod::Canonical,
-            "b" if fields.len() == 3 => ProofMethod::BitBlast {
-                points: fields.get(2)?.as_str()?.parse().ok()?,
+    for item in field::<Vec<Vec<String>>>(body, "proof", "obligations").ok()? {
+        let method = match (item.get(1)?.as_str(), item.get(2)) {
+            ("c", None) => ProofMethod::Canonical,
+            ("b", Some(points)) if item.len() == 3 => ProofMethod::BitBlast {
+                points: points.parse().ok()?,
             },
             _ => return None,
         };
+        let name = item.into_iter().next()?;
         obligations.push(Obligation { name, method });
     }
     Some(ProveVerdict::Proved {
@@ -360,23 +349,23 @@ fn encode_fsmd(report: &VerifyReport) -> Option<Json> {
         return None;
     };
     Some(Json::obj(vec![
-        ("stage", Json::str("fsmd")),
-        ("obligations", Json::size(*obligations)),
-        ("bit_blasted", Json::size(*bit_blasted)),
-        ("sym_nodes", Json::size(*sym_nodes)),
+        ("stage", "fsmd".encode()),
+        ("obligations", obligations.encode()),
+        ("bit_blasted", bit_blasted.encode()),
+        ("sym_nodes", sym_nodes.encode()),
     ]))
 }
 
 /// Decoder for persisted FSMD verdicts: only constructs `Proved`.
 fn decode_fsmd(body: &Json) -> Option<VerifyReport> {
-    if body.get("stage")?.as_str()? != "fsmd" {
+    if field::<String>(body, "proof", "stage").ok()? != "fsmd" {
         return None;
     }
     Some(VerifyReport {
         finding: VerifyFinding::Proved {
-            obligations: body.get("obligations")?.as_u64()? as usize,
-            bit_blasted: body.get("bit_blasted")?.as_u64()? as usize,
-            sym_nodes: body.get("sym_nodes")?.as_u64()? as usize,
+            obligations: field(body, "proof", "obligations").ok()?,
+            bit_blasted: field(body, "proof", "bit_blasted").ok()?,
+            sym_nodes: field(body, "proof", "sym_nodes").ok()?,
         },
     })
 }
