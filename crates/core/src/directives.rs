@@ -284,7 +284,7 @@ impl Directives {
 
     /// The FU limit for a class, if any.
     pub fn fu_limit(&self, class: OpClass) -> Option<u32> {
-        self.fu_limits.get(&class.to_string()).copied()
+        self.fu_limits.get(class.name()).copied()
     }
 }
 

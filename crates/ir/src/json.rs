@@ -288,7 +288,7 @@ pub trait Named: Copy + PartialEq + 'static {
     /// Every variant with its name.
     const NAMES: &'static [(Self, &'static str)];
 
-    /// This variant's name.
+    /// This variant's name (empty for a variant the table misses).
     fn name(self) -> &'static str {
         Self::NAMES
             .iter()

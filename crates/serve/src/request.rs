@@ -127,8 +127,10 @@ pub fn prepare_batch(requests: &[SynthesisRequest]) -> Vec<Prepared> {
 /// [`parse_batch`] accepts, used when a cluster shard forwards a
 /// sub-batch to the digest's owner.
 pub fn batch_to_json(requests: &[SynthesisRequest]) -> Json {
-    let requests = requests.iter().map(SynthesisRequest::to_json).collect();
-    Json::obj(vec![("requests", Json::Arr(requests))])
+    Json::obj(vec![(
+        "requests",
+        Json::Arr(requests.iter().map(SynthesisRequest::to_json).collect()),
+    )])
 }
 
 /// Parses a batch: `{"requests": [...]}`, a bare array, or one object.
